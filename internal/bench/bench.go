@@ -66,22 +66,31 @@ func Names() []string { return []string{"matrix", "fft", "model", "lud"} }
 // paper).
 func HasIdeal(name string) bool { return name == "matrix" || name == "fft" }
 
+// generators maps each name Get accepts to its paper-size generator.
+var generators = map[string]func(SourceKind) (*Benchmark, error){
+	"matrix": GenMatrix,
+	"fft":    GenFFT,
+	"lud":    GenLUD,
+	"model":  GenModel,
+	"modelq": GenModelQ,
+}
+
 // Get generates the named benchmark in the requested variant at the
 // paper's problem size.
 func Get(name string, kind SourceKind) (*Benchmark, error) {
-	switch name {
-	case "matrix":
-		return GenMatrix(kind)
-	case "fft":
-		return GenFFT(kind)
-	case "lud":
-		return GenLUD(kind)
-	case "model":
-		return GenModel(kind)
-	case "modelq":
-		return GenModelQ(kind)
+	if err := CheckName(name); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("bench: unknown benchmark %q", name)
+	return generators[name](kind)
+}
+
+// CheckName reports, with Get's error for an unknown name, whether Get
+// knows the named benchmark — without generating its source.
+func CheckName(name string) error {
+	if _, ok := generators[name]; !ok {
+		return fmt.Errorf("bench: unknown benchmark %q", name)
+	}
+	return nil
 }
 
 // GetN generates the named benchmark at a chosen problem size. The size

@@ -121,33 +121,46 @@ func Compile(src string, cfg *machine.Config, opts Options) (*isa.Program, *Diag
 
 // CompileForms compiles pre-parsed top-level forms.
 func CompileForms(forms []*sexpr.Node, cfg *machine.Config, opts Options) (*isa.Program, *Diagnostics, error) {
-	return compileForms(forms, cfg, opts, nil)
+	env, err := lowerForms(forms, cfg, opts, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return env.build()
 }
 
-// compileForms is the shared compile body; lim, when non-nil, bounds the
-// work performed (see CompileBounded).
-func compileForms(forms []*sexpr.Node, cfg *machine.Config, opts Options, lim *Limits) (*isa.Program, *Diagnostics, error) {
+// lowerForms is the front half of a compile: configuration validation,
+// declaration processing and lowering to IR, under lim when non-nil (see
+// CompileBounded).
+// Every source-level rejection (CompileError, LimitError, DeadlineError)
+// is raised here.
+func lowerForms(forms []*sexpr.Node, cfg *machine.Config, opts Options, lim *Limits) (*env, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	env, err := newEnv(forms, cfg, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	env.lim = lim
 	if err := env.lowerAll(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if !opts.DisableOpt {
-		for _, fn := range env.fns {
+	return env, nil
+}
+
+// build is the back half of a compile: optimization, scheduling and
+// emission of a lowered env. It fails only with compiler-internal errors.
+func (e *env) build() (*isa.Program, *Diagnostics, error) {
+	if !e.opts.DisableOpt {
+		for _, fn := range e.fns {
 			optimize(fn)
 		}
 	}
-	prog, diags, err := env.emit()
+	prog, diags, err := e.emit()
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := prog.Validate(cfg.NumUnits(), len(cfg.Clusters), cfg.MaxDests); err != nil {
+	if err := prog.Validate(e.cfg.NumUnits(), len(e.cfg.Clusters), e.cfg.MaxDests); err != nil {
 		return nil, nil, fmt.Errorf("compiler: internal error: generated invalid program: %w", err)
 	}
 	return prog, diags, nil

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 
 	"pcoup/internal/isa"
 	"pcoup/internal/machine"
@@ -72,6 +73,10 @@ type env struct {
 // dataBase is the first address assigned to globals (address 0 is
 // reserved so that stray zero addresses fault visibly in tests).
 const dataBase = 8
+
+// maxImageWords bounds the declared globals' total size, leaving room
+// for hidden cells without int64 overflow.
+const maxImageWords = math.MaxInt64 / 2
 
 // newEnv scans top-level forms and builds the program environment.
 func newEnv(forms []*sexpr.Node, cfg *machine.Config, opts Options) (*env, error) {
@@ -208,6 +213,11 @@ func (e *env) declGlobal(f *sexpr.Node) error {
 	}
 	if _, dup := e.globals[g.name]; dup {
 		return errAt(f, "duplicate global %q", g.name)
+	}
+	// Keep the address arithmetic far from overflow: a wrapped image size
+	// would slip past the memwords limit and reach emit.
+	if g.size > maxImageWords-e.nextAddr {
+		return errAt(tn, "memory image exceeds %d words", int64(maxImageWords))
 	}
 	g.addr = e.nextAddr
 	e.nextAddr += g.size

@@ -87,21 +87,58 @@ func IsResourceLimit(err error) bool {
 // point for untrusted input; Compile remains the trusted-input path with
 // only stack-safety bounds.
 func CompileBounded(ctx context.Context, src string, cfg *machine.Config, opts Options, lim Limits) (*isa.Program, *Diagnostics, error) {
+	forms, err := ParseBounded(src, lim)
+	if err != nil {
+		return nil, nil, err
+	}
+	env, err := lowerBounded(ctx, forms, cfg, opts, lim)
+	if err != nil {
+		return nil, nil, err
+	}
+	return env.build()
+}
+
+// CheckBounded runs the part of CompileBounded that can reject a source —
+// parsing and lowering under lim — and skips optimization, scheduling and
+// emission. It returns the error CompileBounded would return for the same
+// arguments, except for compiler-internal errors of the skipped back half,
+// so a service can validate an untrusted submission at a fraction of the
+// cost of compiling it.
+func CheckBounded(ctx context.Context, src string, cfg *machine.Config, opts Options, lim Limits) error {
+	forms, err := ParseBounded(src, lim)
+	if err != nil {
+		return err
+	}
+	return CheckFormsBounded(ctx, forms, cfg, opts, lim)
+}
+
+// ParseBounded parses src under lim's source bounds (bytes, parse-tree
+// nodes, nesting depth).
+func ParseBounded(src string, lim Limits) ([]*sexpr.Node, error) {
+	return sexpr.ParseLimits(src, sexpr.Limits{
+		MaxBytes: lim.MaxSourceBytes,
+		MaxNodes: lim.MaxNodes,
+		MaxDepth: lim.MaxDepth,
+	})
+}
+
+// CheckFormsBounded is CheckBounded for forms already read by
+// ParseBounded under the same lim. It does not modify forms.
+func CheckFormsBounded(ctx context.Context, forms []*sexpr.Node, cfg *machine.Config, opts Options, lim Limits) error {
+	_, err := lowerBounded(ctx, forms, cfg, opts, lim)
+	return err
+}
+
+// lowerBounded is the front half shared by CompileBounded and the checks:
+// it defaults the machine, folds the ctx deadline into lim, and lowers.
+func lowerBounded(ctx context.Context, forms []*sexpr.Node, cfg *machine.Config, opts Options, lim Limits) (*env, error) {
 	if cfg == nil {
 		cfg = machine.Baseline()
 	}
 	if dl, ok := ctx.Deadline(); ok && (lim.Deadline.IsZero() || dl.Before(lim.Deadline)) {
 		lim.Deadline = dl
 	}
-	forms, err := sexpr.ParseLimits(src, sexpr.Limits{
-		MaxBytes: lim.MaxSourceBytes,
-		MaxNodes: lim.MaxNodes,
-		MaxDepth: lim.MaxDepth,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return compileForms(forms, cfg, opts, &lim)
+	return lowerForms(forms, cfg, opts, &lim)
 }
 
 // checkThreads enforces the segment-count and memory-image bounds; it

@@ -1,0 +1,100 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"strings"
+	"testing"
+
+	"pcoup/internal/compiler"
+	"pcoup/internal/machine"
+	"pcoup/internal/progfuzz"
+)
+
+// fuzzBombSources are the hostile programs of TestProgramNestingBomb422
+// and TestProgramOverCap422, plus globals too large for any memory
+// image.
+var fuzzBombSources = []string{
+	strings.Repeat("(", 100_000),
+	"(program p (def (main) (set x " + strings.Repeat("1", 70_000) + ")))",
+	"(program p (global a (array int 4096)) (def (main) (forall-static (i 0 4096) (aset a i i))))",
+	"(program p (global out (array int 1)) (def (main) (unroll (a 0 100) (unroll (b 0 100) (unroll (c 0 100) (aset out 0 (+ (aref out 0) 1)))))))",
+	"(program p (global big (array int 9000000)) (def (main) (aset big 0 1)))",
+	"(program p (global big (array int 4611686018427387904)) (def (main) (aset big 0 1)))",
+	"(program p (global a (array int 4611686018427387904)) (global b (array int 4611686018427387904)) (def (main) (aset b 0 1)))",
+}
+
+// FuzzJobSpec feeds arbitrary bytes through the decoders of POST
+// /v1/jobs and POST /v1/programs and then Normalize. Normalize must never
+// panic, and a program spec it accepts must compile: the submission
+// check must reject every source the worker's full compile would.
+func FuzzJobSpec(f *testing.F) {
+	add := func(v any) {
+		data, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		add(JobSpec{Program: &ProgramSpec{Source: progfuzz.Generate(seed), Verify: true}})
+		add(ProgramRequest{ProgramSpec: ProgramSpec{Source: progfuzz.Generate(seed), Mode: "tpe", AutoUnroll: 4}})
+	}
+	add(ProgramRequest{ProgramSpec: ProgramSpec{
+		Source: progfuzz.GenerateOpts(1_000_000, progfuzz.GenOptions{MaxArraySize: 128, WideForall: true}),
+	}})
+	for _, src := range fuzzBombSources {
+		add(ProgramRequest{ProgramSpec: ProgramSpec{Source: src}})
+	}
+	add(JobSpec{Program: &ProgramSpec{Source: testProgram, Mode: "seq"}, Machine: machine.Mix(2, 1)})
+	add(JobSpec{Cell: &CellSpec{Bench: "lud", Mode: "Coupled"}, Preset: "baseline"})
+	add(JobSpec{Sweep: &SweepSpec{Benches: []string{"fft"}, MinIU: 1, MaxIU: 2}})
+	add(JobSpec{Experiment: "table2"})
+
+	presets := map[string]*machine.Config{"baseline": machine.Baseline()}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		if decodeStrict(data, &spec) {
+			checkNormalize(t, spec, presets)
+		}
+		var req ProgramRequest
+		if decodeStrict(data, &req) {
+			checkNormalize(t, req.JobSpec(), presets)
+		}
+	})
+}
+
+// decodeStrict decodes data as the HTTP handlers do.
+func decodeStrict(data []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v) == nil
+}
+
+// fuzzCompileIROps bounds the programs FuzzJobSpec compiles in full.
+// Scheduling is quadratic in basic-block size, so a single block near
+// the service's IR cap takes minutes to compile; an exec must stay short.
+const fuzzCompileIROps = 5000
+
+// checkNormalize normalizes spec and, when it holds an accepted
+// program of at most fuzzCompileIROps IR operations, compiles that
+// program as the worker would.
+func checkNormalize(t *testing.T, spec JobSpec, presets map[string]*machine.Config) {
+	cfg, err := spec.Normalize(presets)
+	if err != nil || spec.Program == nil {
+		return
+	}
+	p := spec.Program
+	if _, err := ProgramContentKey(p, cfg, spec.Options); err != nil {
+		t.Fatalf("accepted program has no content key: %v", err)
+	}
+	small := compiler.ServiceLimits()
+	small.MaxIROps = fuzzCompileIROps
+	if compiler.CheckBounded(context.Background(), p.Source, cfg, p.compilerOptions(), small) != nil {
+		return
+	}
+	if _, _, err := compiler.CompileBounded(context.Background(), p.Source, cfg, p.compilerOptions(), compiler.ServiceLimits()); err != nil {
+		t.Fatalf("Normalize accepted a program the worker cannot compile: %v\nspec: %+v", err, spec)
+	}
+}

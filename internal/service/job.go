@@ -157,7 +157,7 @@ func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Con
 			return nil, err
 		}
 		spec.Cell.Mode = string(mode)
-		if _, err := bench.Get(spec.Cell.Bench, bench.Sequential); err != nil {
+		if err := bench.CheckName(spec.Cell.Bench); err != nil {
 			return nil, err
 		}
 		if !experiments.ModeSupported(spec.Cell.Bench, mode) {
@@ -177,10 +177,10 @@ func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Con
 		if spec.Options.Trace {
 			return nil, fmt.Errorf("options.trace applies to cell jobs only")
 		}
-		// Validate by compiling under the service limits against the
-		// resolved machine: a recursion bomb, an over-cap source, or a
-		// thread explosion is rejected here with a typed ProgramError
-		// (HTTP 422) instead of ever reaching a worker.
+		// Validate by parsing and lowering under the service limits
+		// against the resolved machine: a recursion bomb, an over-cap
+		// source, or a thread explosion is rejected here with a typed
+		// ProgramError (HTTP 422) instead of ever reaching a worker.
 		if err := spec.Program.normalize(cfg); err != nil {
 			return nil, err
 		}
@@ -196,7 +196,7 @@ func (sw *SweepSpec) Normalize() error {
 		sw.Benches = bench.Names()
 	}
 	for _, b := range sw.Benches {
-		if _, err := bench.Get(b, bench.Sequential); err != nil {
+		if err := bench.CheckName(b); err != nil {
 			return err
 		}
 	}

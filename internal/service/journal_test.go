@@ -63,6 +63,23 @@ func TestJournalRecoversInterruptedJob(t *testing.T) {
 	_ = srv
 }
 
+// TestJournalRecoversProgramJob replays an interrupted program job. The
+// journal holds the spec as submitted; recovery must check it again and
+// record its canonical source digest, or the worker could not key the
+// result.
+func TestJournalRecoversProgramJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	seedJournal(t, path, func(j *journal) {
+		if err := j.submit("j-000004", JobSpec{Program: &ProgramSpec{Source: testProgram, Verify: true}}, "", 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	_, ts := newTestServer(t, Options{Workers: 1, JournalFile: path, RetryBackoff: time.Millisecond})
+	if view := waitJob(t, ts, "j-000004"); view.State != JobDone {
+		t.Fatalf("recovered program job state %s (%s), want done", view.State, view.Error)
+	}
+}
+
 // TestJournalFinishedJobNotReplayed: a submit paired with a finish is
 // complete; restart must not resurrect it.
 func TestJournalFinishedJobNotReplayed(t *testing.T) {

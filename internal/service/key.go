@@ -42,6 +42,16 @@ func (d keyDoc) hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// sourceKey names one generated benchmark source variant.
+type sourceKey struct {
+	bench string
+	kind  bench.SourceKind
+}
+
+// sourceDigests memoizes sourceSHA per variant: sources are deterministic
+// generators, so each is generated and hashed once per process.
+var sourceDigests sync.Map // sourceKey -> string
+
 // sourceSHA hashes one benchmark's generated source for the variant a
 // mode runs.
 func sourceSHA(benchName string, mode experiments.Mode) (string, error) {
@@ -52,12 +62,18 @@ func sourceSHA(benchName string, mode experiments.Mode) (string, error) {
 	case experiments.IDEAL:
 		kind = bench.Ideal
 	}
+	k := sourceKey{benchName, kind}
+	if d, ok := sourceDigests.Load(k); ok {
+		return d.(string), nil
+	}
 	b, err := bench.Get(benchName, kind)
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256([]byte(b.Source))
-	return hex.EncodeToString(sum[:]), nil
+	d := hex.EncodeToString(sum[:])
+	sourceDigests.Store(k, d)
+	return d, nil
 }
 
 // suiteDigest hashes every benchmark source variant the experiments can

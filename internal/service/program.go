@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -23,7 +24,8 @@ import (
 // spec). The source crosses a trust boundary: it is parsed, compiled,
 // and simulated under the strict resource limits of
 // compiler.ServiceLimits plus a cycle budget, and every submission is
-// validated by a bounded compile before it is accepted.
+// validated by a bounded check (parse and lowering under every cap)
+// before it is accepted.
 type ProgramSpec struct {
 	// Source is the program text (s-expression surface syntax).
 	Source string `json:"source"`
@@ -40,6 +42,11 @@ type ProgramSpec struct {
 	// for race-free programs (the interpreter executes forks
 	// sequentially).
 	Verify bool `json:"verify,omitempty"`
+
+	// sourceSHA is the canonical source digest, recorded by normalize
+	// from the forms it checked so keying never parses the source again
+	// (zero until then).
+	sourceSHA [sha256.Size]byte
 }
 
 // ProgramError marks a program submission rejected for what it contains
@@ -52,8 +59,9 @@ type ProgramError struct{ Err error }
 func (e *ProgramError) Error() string { return "program: " + e.Err.Error() }
 func (e *ProgramError) Unwrap() error { return e.Err }
 
-// programCompileTimeout bounds the submission-time validation compile.
-// The worker's execution compile runs under the job's own deadline.
+// programCompileTimeout bounds the submission-time check (parse and
+// lowering under the service limits). The worker's compile runs under
+// the job's own deadline.
 const programCompileTimeout = 5 * time.Second
 
 // DefaultProgramCycles is the simulation cycle budget applied to
@@ -62,10 +70,12 @@ const programCompileTimeout = 5 * time.Second
 const DefaultProgramCycles = 10_000_000
 
 // normalize validates the program spec: the mode must parse, and the
-// source must compile under the service limits against the resolved
-// machine (nil = baseline). Every rejection is wrapped in ProgramError
-// so the transport layers can distinguish "your program is bad" (422)
-// from "the service is unhealthy" (5xx).
+// source must pass compiler.CheckBounded under the service limits
+// against the resolved machine (nil = baseline) — every rejection a full
+// compile can raise from the source. It records the canonical source
+// digest from the checked forms. Every rejection is wrapped in
+// ProgramError so the transport layers can distinguish "your program is
+// bad" (422) from "the service is unhealthy" (5xx).
 func (p *ProgramSpec) normalize(cfg *machine.Config) error {
 	if strings.TrimSpace(p.Source) == "" {
 		return &ProgramError{Err: fmt.Errorf("source is empty")}
@@ -83,9 +93,14 @@ func (p *ProgramSpec) normalize(cfg *machine.Config) error {
 	}
 	lim := compiler.ServiceLimits()
 	lim.Deadline = time.Now().Add(programCompileTimeout)
-	if _, _, err := compiler.CompileBounded(context.Background(), p.Source, cfg, p.compilerOptions(), lim); err != nil {
+	forms, err := compiler.ParseBounded(p.Source, lim)
+	if err != nil {
 		return &ProgramError{Err: err}
 	}
+	if err := compiler.CheckFormsBounded(context.Background(), forms, cfg, p.compilerOptions(), lim); err != nil {
+		return &ProgramError{Err: err}
+	}
+	p.sourceSHA = canonicalSourceSHA(forms)
 	return nil
 }
 
@@ -99,48 +114,39 @@ func (p *ProgramSpec) compilerOptions() compiler.Options {
 	}
 }
 
-// canonicalSourceSHA parses the source under the service's parse limits
-// and hashes the re-rendered forms, so formatting and comments do not
-// fragment the cache: two submissions of the same program share one
-// cache entry and one fleet routing home.
-func canonicalSourceSHA(src string) (string, error) {
-	lim := compiler.ServiceLimits()
-	forms, err := sexpr.ParseLimits(src, sexpr.Limits{
-		MaxBytes: lim.MaxSourceBytes,
-		MaxNodes: lim.MaxNodes,
-		MaxDepth: lim.MaxDepth,
-	})
-	if err != nil {
-		return "", &ProgramError{Err: err}
-	}
+// canonicalSourceSHA hashes the re-rendered forms of a parsed source, so
+// formatting and comments do not fragment the cache: two submissions of
+// the same program share one cache entry and one fleet routing home.
+func canonicalSourceSHA(forms []*sexpr.Node) (sum [sha256.Size]byte) {
 	h := sha256.New()
 	for _, f := range forms {
 		h.Write([]byte(f.String()))
 		h.Write([]byte{'\n'})
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	h.Sum(sum[:0])
+	return sum
 }
+
+// errProgramNotNormalized is ProgramContentKey's answer for a spec that
+// JobSpec.Normalize has not accepted: only normalize records the
+// canonical source digest.
+var errProgramNotNormalized = errors.New("service: program spec not normalized")
 
 // ProgramContentKey is the exported program cache key: the SHA-256
 // content address of one (canonical source, machine, compiler options,
 // sim options) compile-and-run. The fleet gateway routes program jobs
 // on it so identical resubmissions land on the same backend and find
-// its cache hot.
+// its cache hot. p must have been accepted by JobSpec.Normalize.
 func ProgramContentKey(p *ProgramSpec, cfg *machine.Config, o SimOptions) (string, error) {
-	src, err := canonicalSourceSHA(p.Source)
-	if err != nil {
-		return "", err
+	if p.sourceSHA == [sha256.Size]byte{} {
+		return "", errProgramNotNormalized
 	}
 	msha, err := machineSHA(cfg)
 	if err != nil {
 		return "", err
 	}
-	mode := p.Mode
-	if mode == "" {
-		mode = string(experiments.COUPLED)
-	}
 	return keyDoc{
-		Kind: "program", Mode: mode, SourceSHA: src, MachineSHA: msha, Options: o,
+		Kind: "program", Mode: p.Mode, SourceSHA: hex.EncodeToString(p.sourceSHA[:]), MachineSHA: msha, Options: o,
 		Extra: fmt.Sprintf("opt=%t,unroll=%d,verify=%t", !p.DisableOpt, p.AutoUnroll, p.Verify),
 	}.hash(), nil
 }
@@ -181,9 +187,9 @@ func (s *Server) runProgramJob(ctx context.Context, job *Job) (json.RawMessage, 
 	if cfg == nil {
 		cfg = machine.Baseline()
 	}
-	// Recompile at execution (normalize compiled for validation only and
-	// discarded the binary — jobs may sit queued or journaled across a
-	// restart, and cached hits skip this entirely).
+	// The one full compile of the job: normalize only checked the source
+	// (parse and lowering under the caps), and nothing compiled crosses
+	// the queue or the journal. Cached hits skip this entirely.
 	prog, _, err := compiler.CompileBounded(ctx, p.Source, cfg, p.compilerOptions(), compiler.ServiceLimits())
 	if err != nil {
 		if compiler.IsResourceLimit(err) {

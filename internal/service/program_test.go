@@ -243,16 +243,23 @@ func TestProgramSpecValidation(t *testing.T) {
 // drift: same canonical program, different formatting, same key — and
 // every knob change moves the key.
 func TestProgramKeyStability(t *testing.T) {
+	key := func(p *ProgramSpec) string {
+		t.Helper()
+		if err := p.normalize(nil); err != nil {
+			t.Fatal(err)
+		}
+		k, err := ProgramContentKey(p, nil, SimOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
 	base := &ProgramSpec{Source: testProgram, Mode: "coupled"}
-	k1, err := ProgramContentKey(base, nil, SimOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := ProgramContentKey(base, nil, SimOptions{}); err == nil {
+		t.Fatal("unnormalized spec got a content key")
 	}
-	reformatted := &ProgramSpec{Source: "; c\n" + strings.ReplaceAll(testProgram, "\n", "\n "), Mode: "coupled"}
-	k2, err := ProgramContentKey(reformatted, nil, SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	k1 := key(base)
+	k2 := key(&ProgramSpec{Source: "; c\n" + strings.ReplaceAll(testProgram, "\n", "\n "), Mode: "coupled"})
 	if k1 != k2 {
 		t.Fatal("formatting changed the content key")
 	}
@@ -264,10 +271,7 @@ func TestProgramKeyStability(t *testing.T) {
 	}
 	seen := map[string]bool{k1: true}
 	for i, v := range variants {
-		k, err := ProgramContentKey(v, nil, SimOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := key(v)
 		if seen[k] {
 			t.Fatalf("variant %d collided with a previous key", i)
 		}
