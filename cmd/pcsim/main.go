@@ -124,17 +124,17 @@ func run() int {
 		// address-fault reports below.
 		tw := bufio.NewWriterSize(os.Stderr, 1<<16)
 		defer tw.Flush()
-		opts = append(opts, sim.WithTrace(tw))
+		opts = append(opts, sim.WithObserver(sim.NewTextTrace(tw)))
 	}
 	var rec *sim.InterleaveRecorder
 	if *interleave > 0 {
 		rec = sim.NewInterleaveRecorder(cfg, *interleave)
-		opts = append(opts, rec.Hook())
+		opts = append(opts, sim.WithObserver(rec))
 	}
 	var tl *sim.Timeline
 	if *timeline > 0 {
 		tl = sim.NewTimeline(cfg, *timeline)
-		opts = append(opts, tl.Hook())
+		opts = append(opts, sim.WithObserver(tl))
 	}
 	if *stats {
 		opts = append(opts, sim.WithStallAttribution())
@@ -142,7 +142,7 @@ func run() int {
 	var tracer *sim.JSONTracer
 	if *traceJSON != "" {
 		tracer = sim.NewJSONTracer(cfg)
-		opts = append(opts, sim.WithJSONTrace(tracer))
+		opts = append(opts, sim.WithObserver(tracer))
 	}
 	if *ckptEvery > 0 {
 		opts = append(opts, sim.WithCheckpointEvery(*ckptEvery, func(ck *sim.Checkpoint) error {

@@ -235,6 +235,9 @@ func (p *Prefetcher) Restore(st *PrefetcherState) error {
 		return fmt.Errorf("dynsched: prefetcher restore: shape mismatch (%d/%d streams, %d/%d lines)",
 			len(st.Streams), len(p.tab), len(st.Buffer), len(p.buf))
 	}
+	if st.Next < 0 || st.Next >= len(p.buf) {
+		return fmt.Errorf("dynsched: prefetcher restore: next line %d outside %d", st.Next, len(p.buf))
+	}
 	for i, s := range st.Streams {
 		p.tab[i] = stream{tag: s.Tag, last: s.Last, strd: s.Strd, conf: s.Conf, used: s.Used}
 	}

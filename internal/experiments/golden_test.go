@@ -27,6 +27,7 @@ import (
 	"sync"
 	"testing"
 
+	"pcoup/internal/compiler"
 	"pcoup/internal/machine"
 	"pcoup/internal/sim"
 )
@@ -43,18 +44,25 @@ const goldenCheckpointEvery = 64
 // goldenHash runs one cell and folds its observable behavior into a hash.
 func goldenHash(t *testing.T, benchName string, mode Mode) string {
 	t.Helper()
-	return goldenHashOn(t, benchName, mode, machine.Baseline())
+	h, _, _ := goldenRun(t, benchName, mode, machine.Baseline(), goldenCheckpointEvery)
+	return h
 }
 
-// goldenHashOn is goldenHash on an arbitrary machine with extra sim
-// options (the event-core differential suite runs cells on both kernels
-// and on non-baseline memory models).
-func goldenHashOn(t *testing.T, benchName string, mode Mode, cfg *machine.Config, extra ...sim.Option) string {
+// goldenRun runs one cell on an arbitrary machine, checkpointing every
+// `every` cycles, with extra sim options (the event-core differential
+// suite runs cells on both kernels and with every trace consumer
+// installed). It verifies the cell's result and returns the golden
+// digest with the result and the Sim for kernel counters.
+func goldenRun(t *testing.T, benchName string, mode Mode, cfg *machine.Config, every int64, extra ...sim.Option) (string, *sim.Result, *sim.Sim) {
 	t.Helper()
+	b, prog, _, err := compileCached(benchName, sourceKind(mode), 0, cfg, compiler.Options{Mode: compilerMode(mode)})
+	if err != nil {
+		t.Fatalf("%s/%s: %v", benchName, mode, err)
+	}
 	var first, last *sim.Checkpoint
 	opts := []sim.Option{
 		sim.WithStallAttribution(),
-		sim.WithCheckpointEvery(goldenCheckpointEvery, func(ck *sim.Checkpoint) error {
+		sim.WithCheckpointEvery(every, func(ck *sim.Checkpoint) error {
 			if first == nil {
 				first = ck
 			}
@@ -62,17 +70,23 @@ func goldenHashOn(t *testing.T, benchName string, mode Mode, cfg *machine.Config
 			return nil
 		}),
 	}
-	opts = append(opts, extra...)
-	r, err := Execute(benchName, mode, cfg, opts...)
+	s, err := sim.New(cfg, prog, append(opts, extra...)...)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", benchName, mode, err)
 	}
-	resJSON, err := json.Marshal(r.Result)
+	r, err := s.Run(0)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", benchName, mode, err)
+	}
+	if err := b.Verify(peeker(s, prog)); err != nil {
+		t.Fatalf("%s/%s: wrong result: %v", benchName, mode, err)
+	}
+	resJSON, err := json.Marshal(r)
 	if err != nil {
 		t.Fatalf("%s/%s: marshal result: %v", benchName, mode, err)
 	}
 	if first == nil || last == nil {
-		t.Fatalf("%s/%s: no checkpoint was taken (run too short for interval %d?)", benchName, mode, goldenCheckpointEvery)
+		t.Fatalf("%s/%s: no checkpoint was taken (run too short for interval %d?)", benchName, mode, every)
 	}
 	firstJSON, err := json.Marshal(first)
 	if err != nil {
@@ -88,7 +102,7 @@ func goldenHashOn(t *testing.T, benchName string, mode Mode, cfg *machine.Config
 	h.Write(firstJSON)
 	h.Write([]byte{'|'})
 	h.Write(lastJSON)
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), r, s
 }
 
 func loadGolden(t *testing.T) map[string]string {

@@ -161,22 +161,27 @@ func PerfCtx(ctx context.Context, cfg *machine.Config) (*PerfResult, error) {
 	// statistical long-latency memories, where most cycles are idle and
 	// the event core's jumps dominate.
 	perfCells := []struct {
-		name  string
-		bench string
-		mem   *machine.MemoryModel
-		dyn   *machine.DynamicModel
+		name   string
+		bench  string
+		mem    *machine.MemoryModel
+		dyn    *machine.DynamicModel
+		traced bool
 	}{
-		{"matrix", "matrix", nil, nil},
-		{"fft", "fft", nil, nil},
-		{"model", "model", nil, nil},
-		{"lud", "lud", nil, nil},
-		{"lud@Mem2", "lud", &machine.Mem2, nil},
-		{"lud@Slow", "lud", &machine.MemSlow, nil},
+		{"matrix", "matrix", nil, nil, false},
+		{"fft", "fft", nil, nil, false},
+		{"model", "model", nil, nil, false},
+		{"lud", "lud", nil, nil, false},
+		{"lud@Mem2", "lud", &machine.Mem2, nil, false},
+		{"lud@Slow", "lud", &machine.MemSlow, nil, false},
 		// The CoupledDyn cell: the window, predictor, and prefetcher all
 		// live on the issue path, so this row guards the dynamic
 		// subsystem's overhead (and its event-core compatibility — the
 		// skip horizons must still engage on the idle stretches).
-		{"lud@Dyn", "lud", &machine.Mem2, &machine.DynAll},
+		{"lud@Dyn", "lud", &machine.Mem2, &machine.DynAll, false},
+		// The traced cell: a JSON tracer (which turns stall attribution
+		// on) per run. Tracing must keep the event core's skips, so this
+		// row stays several times faster than its ticking twin.
+		{"lud@Slow+trace", "lud", &machine.MemSlow, nil, true},
 	}
 	for _, c := range perfCells {
 		if err := ctx.Err(); err != nil {
@@ -194,27 +199,28 @@ func PerfCtx(ctx context.Context, cfg *machine.Config) (*PerfResult, error) {
 			return nil, err
 		}
 		pb := PerfBench{Bench: c.name}
-		for _, kernel := range []struct {
-			ticking bool
-			opts    []sim.Option
-		}{
-			{false, nil},
-			{true, []sim.Option{sim.WithCycleSkipping(false)}},
-		} {
-			cycles, elapsed, err := timedRun(cellCfg, prog, kernel.opts...)
+		for _, ticking := range []bool{false, true} {
+			opts := func() []sim.Option {
+				opts := []sim.Option{sim.WithCycleSkipping(!ticking)}
+				if c.traced {
+					opts = append(opts, sim.WithObserver(sim.NewJSONTracer(cellCfg)))
+				}
+				return opts
+			}
+			cycles, elapsed, err := timedRun(cellCfg, prog, opts()...)
 			if err != nil {
 				return nil, fmt.Errorf("perf %s: %w", c.name, err)
 			}
 			reps := perfReps(elapsed)
 			start = time.Now()
 			for i := 0; i < reps; i++ {
-				if _, _, err := timedRun(cellCfg, prog, kernel.opts...); err != nil {
+				if _, _, err := timedRun(cellCfg, prog, opts()...); err != nil {
 					return nil, fmt.Errorf("perf %s: %w", c.name, err)
 				}
 			}
 			perRun := float64(time.Since(start).Nanoseconds()) / float64(reps)
 			cps := float64(cycles) / (perRun / 1e9)
-			if kernel.ticking {
+			if ticking {
 				pb.TickingCyclesPerSec = cps
 			} else {
 				pb.Cycles, pb.Runs, pb.NsPerRun, pb.CyclesPerSec = cycles, reps, perRun, cps
@@ -267,9 +273,9 @@ func timedRun(cfg *machine.Config, prog *isa.Program, opts ...sim.Option) (int64
 // WritePerf renders the perf measurements for terminals.
 func WritePerf(w io.Writer, res *PerfResult) {
 	fmt.Fprintln(w, "Simulator performance (this build, this machine):")
-	fmt.Fprintf(w, "  %-9s %10s %8s %14s %14s %8s\n", "bench", "cycles", "runs", "simcycles/s", "ticking", "speedup")
+	fmt.Fprintf(w, "  %-14s %10s %8s %14s %14s %8s\n", "bench", "cycles", "runs", "simcycles/s", "ticking", "speedup")
 	for _, b := range res.Benches {
-		fmt.Fprintf(w, "  %-9s %10d %8d %14.0f", b.Bench, b.Cycles, b.Runs, b.CyclesPerSec)
+		fmt.Fprintf(w, "  %-14s %10d %8d %14.0f", b.Bench, b.Cycles, b.Runs, b.CyclesPerSec)
 		if b.TickingCyclesPerSec > 0 {
 			fmt.Fprintf(w, " %14.0f %7.2fx", b.TickingCyclesPerSec, b.Speedup)
 		}

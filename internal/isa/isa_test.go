@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -265,6 +266,35 @@ func TestProgramValidate(t *testing.T) {
 	p = &Program{Name: "empty"}
 	if err := p.Validate(4, 2, 2); err == nil {
 		t.Error("accepted program with no segments")
+	}
+
+	p = mk()
+	p.MemWords = MaxMemWords + 1
+	if err := p.Validate(4, 2, 2); err == nil {
+		t.Error("accepted memory image over MaxMemWords")
+	}
+
+	p = mk()
+	p.Segments[0].Instrs[0].Ops[0].Dests = []RegRef{{0, MaxRegIndex + 1}}
+	if err := p.Validate(4, 2, 2); err == nil {
+		t.Error("accepted register index over MaxRegIndex")
+	}
+
+	// Operand counts the opcode does not accept are a typed error, not a
+	// panic at issue.
+	for _, op := range []*Op{
+		{Code: OpAdd, Unit: 1, Srcs: []Operand{ImmInt(3)}, Dests: []RegRef{{0, 0}}},
+		{Code: OpBt, Unit: 1, Target: 0},
+		{Code: OpStore, Unit: 1, Offset: 8},
+		{Code: OpHalt, Unit: 1, Dests: []RegRef{{0, 0}}},
+		{Code: numOpcodes, Unit: 1},
+	} {
+		p = mk()
+		p.Segments[0].Instrs[1].Ops[1] = op
+		var oe *OperandError
+		if err := p.Validate(4, 2, 2); !errors.As(err, &oe) {
+			t.Errorf("op %s: Validate = %v, want *OperandError", op, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -13,7 +14,9 @@ type RegRef struct {
 	Index   int
 }
 
-func (r RegRef) String() string { return fmt.Sprintf("c%d.r%d", r.Cluster, r.Index) }
+func (r RegRef) String() string {
+	return "c" + strconv.Itoa(r.Cluster) + ".r" + strconv.Itoa(r.Index)
+}
 
 // OperandKind distinguishes register from immediate operands.
 type OperandKind int
@@ -212,6 +215,46 @@ func (p *Program) TotalOps() int {
 	return n
 }
 
+// Simulator capacity limits, checked by Validate: registers are
+// allocated on demand up to the highest index used, and the memory image
+// is allocated whole, so unbounded values would exhaust host memory.
+const (
+	MaxRegIndex = 1<<20 - 1
+	MaxMemWords = 1 << 24
+)
+
+// OperandError reports an operation whose source or destination count
+// its opcode does not accept.
+type OperandError struct {
+	Segment string
+	Word    int
+	Op      string
+	Reason  string
+}
+
+func (e *OperandError) Error() string {
+	return fmt.Sprintf("isa: %s word %d: op %s: %s", e.Segment, e.Word, e.Op, e.Reason)
+}
+
+// arity explains why op's operand counts do not fit its opcode, or
+// returns "": a fixed-arity opcode takes exactly NumSrcs sources, a
+// store at least one (the value stored), and only value-producing
+// operations (pure ones and loads) have destinations.
+func (op *Op) arity() string {
+	info := op.Code.info()
+	switch {
+	case info.name == "":
+		return "undefined opcode"
+	case info.nsrc >= 0 && len(op.Srcs) != info.nsrc:
+		return fmt.Sprintf("wants %d sources, has %d", info.nsrc, len(op.Srcs))
+	case op.Code == OpStore && len(op.Srcs) == 0:
+		return "store has no value source"
+	case !info.pure && op.Code != OpLoad && len(op.Dests) > 0:
+		return fmt.Sprintf("produces no value but has %d destinations", len(op.Dests))
+	}
+	return ""
+}
+
 // Validate checks structural invariants of a compiled program against the
 // slot count of the target machine: operations are placed in slots,
 // branch/fork targets are in range, and register operands name valid
@@ -220,7 +263,10 @@ func (p *Program) Validate(numUnits, numClusters, maxDests int) error {
 	if len(p.Segments) == 0 {
 		return fmt.Errorf("isa: program %q has no code segments", p.Name)
 	}
-	for si, seg := range p.Segments {
+	if p.MemWords > MaxMemWords {
+		return fmt.Errorf("isa: program %q wants %d memory words (> %d)", p.Name, p.MemWords, MaxMemWords)
+	}
+	for _, seg := range p.Segments {
 		for wi := range seg.Instrs {
 			word := &seg.Instrs[wi]
 			if len(word.Ops) > numUnits {
@@ -233,16 +279,19 @@ func (p *Program) Validate(numUnits, numClusters, maxDests int) error {
 				if op.Unit != slot {
 					return fmt.Errorf("isa: %s word %d slot %d holds op tagged for unit %d", seg.Name, wi, slot, op.Unit)
 				}
+				if why := op.arity(); why != "" {
+					return &OperandError{Segment: seg.Name, Word: wi, Op: op.String(), Reason: why}
+				}
 				if len(op.Dests) > maxDests {
 					return fmt.Errorf("isa: %s word %d: op %s has %d destinations (> %d)", seg.Name, wi, op, len(op.Dests), maxDests)
 				}
 				for _, d := range op.Dests {
-					if d.Cluster < 0 || d.Cluster >= numClusters || d.Index < 0 {
+					if d.Cluster < 0 || d.Cluster >= numClusters || d.Index < 0 || d.Index > MaxRegIndex {
 						return fmt.Errorf("isa: %s word %d: bad destination %s", seg.Name, wi, d)
 					}
 				}
 				for _, s := range op.Srcs {
-					if s.Kind == OperandReg && (s.Reg.Cluster < 0 || s.Reg.Cluster >= numClusters || s.Reg.Index < 0) {
+					if s.Kind == OperandReg && (s.Reg.Cluster < 0 || s.Reg.Cluster >= numClusters || s.Reg.Index < 0 || s.Reg.Index > MaxRegIndex) {
 						return fmt.Errorf("isa: %s word %d: bad source %s", seg.Name, wi, s.Reg)
 					}
 				}
@@ -256,7 +305,6 @@ func (p *Program) Validate(numUnits, numClusters, maxDests int) error {
 						return fmt.Errorf("isa: %s word %d: fork target %d out of range", seg.Name, wi, op.Target)
 					}
 				}
-				_ = si
 			}
 		}
 	}

@@ -126,6 +126,8 @@ func ParseText(r io.Reader) (*Program, error) {
 			if len(fields) > 1 {
 				p.Name = fields[1]
 			}
+		case (fields[0] == ".memwords" || fields[0] == ".segment") && len(fields) != 2:
+			return nil, fmt.Errorf("isa: line %d: %s wants one argument", lineno, fields[0])
 		case fields[0] == ".memwords":
 			n, err := strconv.ParseInt(fields[1], 10, 64)
 			if err != nil {
@@ -192,12 +194,17 @@ func ParseText(r io.Reader) (*Program, error) {
 	return p, nil
 }
 
+// maxSlot bounds a parsed unit slot far above any machine's unit count
+// (Program.Validate enforces the real one), so a bad slot cannot make
+// the parser allocate without bound.
+const maxSlot = 1 << 12
+
 func parseOpLine(fields []string) (int, *Op, error) {
 	if len(fields) < 2 {
 		return 0, nil, fmt.Errorf("malformed operation line")
 	}
 	slot, err := strconv.Atoi(fields[0])
-	if err != nil || slot < 0 {
+	if err != nil || slot < 0 || slot >= maxSlot {
 		return 0, nil, fmt.Errorf("bad slot %q", fields[0])
 	}
 	mnem := fields[1]

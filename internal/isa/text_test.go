@@ -114,6 +114,9 @@ func TestParseTextErrors(t *testing.T) {
 		{"bad target", ".segment m\n.word\n0 jmp <- ->zz\n"},
 		{"bad data addr", ".data a zz full\n.enddata\n.segment m\n.word\n0 halt <-\n"},
 		{"regcount outside segment", ".regcount 1 2\n"},
+		{"memwords without size", ".memwords\n"},
+		{"segment without name", ".segment\n"},
+		{"huge slot", ".segment m\n.word\n999999999 halt <-\n"},
 	}
 	for _, c := range cases {
 		if _, err := ParseText(strings.NewReader(c.text)); err == nil {

@@ -84,7 +84,7 @@ func (v Value) String() string {
 		}
 		return s
 	}
-	return fmt.Sprintf("%d", v.I)
+	return strconv.FormatInt(v.I, 10)
 }
 
 // ParseValue parses the textual form produced by Value.String.

@@ -900,8 +900,8 @@ func (m *Memory) Restore(st *State) error {
 	if int64(len(st.Words)) != int64(len(m.words)) {
 		return fmt.Errorf("memsys: snapshot has %d words, memory has %d", len(st.Words), len(m.words))
 	}
-	if len(st.BankQueues) > 0 && m.bankQueue == nil {
-		return fmt.Errorf("memsys: snapshot models bank conflicts, memory does not")
+	if len(st.BankQueues) > len(m.bankQueue) {
+		return fmt.Errorf("memsys: snapshot has %d bank queues, memory has %d", len(st.BankQueues), len(m.bankQueue))
 	}
 	copy(m.words, st.Words)
 	copy(m.full, st.Full)
@@ -932,7 +932,27 @@ func (m *Memory) Restore(st *State) error {
 	if st.Fault != nil {
 		m.fault = st.Fault
 	}
-	return nil
+	// Service and completion index the image by address, so every
+	// restored address must lie inside it.
+	inMemory := func(a int64) error {
+		if a < 0 || a >= int64(len(m.words)) {
+			return fmt.Errorf("memsys: snapshot address %d outside memory of %d words", a, len(m.words))
+		}
+		return nil
+	}
+	addrs := append(append([]int64(nil), m.dueService...), m.nextService...)
+	for _, d := range m.delayed {
+		addrs = append(addrs, d.Addr)
+	}
+	for _, q := range append(append([]QueueState(nil), st.ParkedFull...), st.ParkedEmpty...) {
+		addrs = append(addrs, q.Addr)
+	}
+	for _, a := range addrs {
+		if err := inMemory(a); err != nil {
+			return err
+		}
+	}
+	return m.ForEachRequest(func(r *Request) error { return inMemory(r.Addr) })
 }
 
 // ForEachRequest visits every outstanding reference (in flight, bank

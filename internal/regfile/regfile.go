@@ -96,11 +96,17 @@ func (f *File) State() FileState {
 	}
 }
 
-// SetState restores state previously captured with State.
-func (f *File) SetState(st FileState) {
+// SetState restores state previously captured with State, which holds
+// one value and one presence bit per register.
+func (f *File) SetState(st FileState) error {
+	if len(st.Vals) != len(st.Valid) || len(st.Vals) > isa.MaxRegIndex+1 {
+		return fmt.Errorf("regfile: snapshot has %d values and %d presence bits (want equal counts, at most %d)",
+			len(st.Vals), len(st.Valid), isa.MaxRegIndex+1)
+	}
 	f.vals = append([]isa.Value(nil), st.Vals...)
 	f.valid = append([]bool(nil), st.Valid...)
 	f.peak = st.Peak
+	return nil
 }
 
 // Set is one thread's complete register state: one File per cluster.
@@ -188,7 +194,9 @@ func (s *Set) SetState(states []FileState) error {
 		return fmt.Errorf("regfile: snapshot has %d clusters, set has %d", len(states), len(s.files))
 	}
 	for i := range s.files {
-		s.files[i].SetState(states[i])
+		if err := s.files[i].SetState(states[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

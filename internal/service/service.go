@@ -606,7 +606,7 @@ func (s *Server) runCell(ctx context.Context, benchName string, mode experiments
 	var tracer *sim.JSONTracer
 	if o.Trace {
 		tracer = sim.NewJSONTracer(cfg)
-		opts = append(opts, sim.WithJSONTrace(tracer))
+		opts = append(opts, sim.WithObserver(tracer))
 	}
 	r, err := experiments.ExecuteCtx(ctx, benchName, mode, cfg, opts...)
 	if err != nil {

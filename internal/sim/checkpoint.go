@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 
 	"pcoup/internal/dynsched"
@@ -21,9 +22,9 @@ const CheckpointVersion = 1
 // Checkpoint is the complete simulator state at a cycle boundary. A run
 // restored from a checkpoint is byte-identical (cycle counts and every
 // statistic) to the uninterrupted run, provided the same machine
-// configuration and program are supplied; Restore verifies both. Trace
-// writers (WithTrace, the JSON tracer) are not part of the state: a
-// resumed run re-emits events only from the resume point.
+// configuration and program are supplied; Restore verifies both.
+// Observers are not part of the state: a resumed run emits events only
+// from the resume point.
 type Checkpoint struct {
 	Version int    `json:"version"`
 	Machine string `json:"machine"` // machine.Config.Hash()
@@ -151,8 +152,8 @@ type attribState struct {
 // validateTag checks a restored memory tag against the loaded program:
 // the thread must exist and the (segment, word, slot) coordinates must
 // name a real op.
-func (s *Sim) validateTag(ts memsys.Tag, byID map[int]*Thread) error {
-	if byID[ts.Thread] == nil {
+func (s *Sim) validateTag(ts memsys.Tag) error {
+	if s.restoredThread(ts.Thread) == nil {
 		return fmt.Errorf("sim: checkpoint references unknown thread %d", ts.Thread)
 	}
 	if ts.SegIdx < 0 || ts.SegIdx >= len(s.prog.Segments) {
@@ -165,6 +166,27 @@ func (s *Sim) validateTag(ts memsys.Tag, byID map[int]*Thread) error {
 	w := seg.Instrs[ts.IP]
 	if ts.Slot < 0 || ts.Slot >= len(w.Ops) || w.Ops[ts.Slot] == nil {
 		return fmt.Errorf("sim: checkpoint tag slot %d has no op at %s word %d", ts.Slot, seg.Name, ts.IP)
+	}
+	return s.checkReg(isa.RegRef{}, ts.SrcCluster)
+}
+
+// restoredThread returns the thread with the given ID, or nil.
+func (s *Sim) restoredThread(id int) *Thread {
+	if id < 0 || id >= len(s.byID) {
+		return nil
+	}
+	return s.byID[id]
+}
+
+// maxRestoreCycle bounds a restored clock far below int64 overflow.
+const maxRestoreCycle = 1 << 60
+
+// checkReg checks a restored register reference and source cluster
+// against the machine.
+func (s *Sim) checkReg(r isa.RegRef, srcCluster int) error {
+	n := len(s.cfg.Clusters)
+	if r.Cluster < 0 || r.Cluster >= n || r.Index < 0 || r.Index > isa.MaxRegIndex || srcCluster < 0 || srcCluster >= n {
+		return fmt.Errorf("sim: checkpoint register %s from cluster %d out of range", r, srcCluster)
 	}
 	return nil
 }
@@ -220,11 +242,12 @@ func (s *Sim) Snapshot() (*Checkpoint, error) {
 
 		Interconnect: s.arb.Stats(),
 	}
-	for _, t := range s.threads {
+	// byID lists every thread in spawn order: the active ones, then
+	// this cycle's pending spawns.
+	for _, t := range s.byID {
 		ck.Threads = append(ck.Threads, snapshotThread(t))
 	}
 	for _, t := range s.pendingSpawns {
-		ck.Threads = append(ck.Threads, snapshotThread(t))
 		ck.PendingSpawns = append(ck.PendingSpawns, t.ID)
 	}
 	// Settle the sort drainWritebacks deferred (when it skipped a cycle
@@ -253,15 +276,11 @@ func (s *Sim) Snapshot() (*Checkpoint, error) {
 		})
 	}
 	if s.attrib != nil {
-		st := &attribState{
+		ck.Attrib = &attribState{
 			Slots:    s.attrib.slots,
 			PerUnit:  append([]StallBreakdown(nil), s.attrib.perUnit...),
-			WaitRegs: make(map[string]int64, len(s.attrib.waitRegs)),
+			WaitRegs: maps.Clone(s.attrib.waitRegs),
 		}
-		for k, v := range s.attrib.waitRegs {
-			st.WaitRegs[k] = v
-		}
-		ck.Attrib = st
 	}
 	if s.dyn != nil {
 		ds := &dynCheckpointState{Stats: s.dyn.stats}
@@ -271,12 +290,7 @@ func (s *Sim) Snapshot() (*Checkpoint, error) {
 		if s.dyn.pref != nil {
 			ds.Prefetch = s.dyn.pref.State()
 		}
-		for _, t := range s.threads {
-			if t.dyn != nil {
-				ds.Threads = append(ds.Threads, snapshotDynThread(t))
-			}
-		}
-		for _, t := range s.pendingSpawns {
+		for _, t := range s.byID {
 			if t.dyn != nil {
 				ds.Threads = append(ds.Threads, snapshotDynThread(t))
 			}
@@ -330,11 +344,23 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 	if (ck.Faults != nil) != (s.inj != nil) {
 		return fmt.Errorf("sim: checkpoint and machine disagree on fault injection")
 	}
+	if ck.Mem == nil {
+		return fmt.Errorf("sim: checkpoint has no memory state")
+	}
+	if ck.LastProgress < 0 || ck.LastProgress > ck.Cycle || ck.Cycle > maxRestoreCycle {
+		return fmt.Errorf("sim: checkpoint cycle %d (last progress %d) out of range", ck.Cycle, ck.LastProgress)
+	}
+	// Thread IDs are dense spawn-order indices: one record per ID below
+	// next_tid, which therefore equals the record count.
+	if ck.NextTID != len(ck.Threads) {
+		return fmt.Errorf("sim: checkpoint next_tid %d, but %d thread records", ck.NextTID, len(ck.Threads))
+	}
 	if len(ck.OpCaches) != len(s.opCaches) {
 		return fmt.Errorf("sim: checkpoint has %d op caches, machine has %d", len(ck.OpCaches), len(s.opCaches))
 	}
 
 	// Attribution follows the checkpoint, not the restored Sim's options.
+	s.attrib = nil
 	if ck.Attrib != nil {
 		if len(ck.Attrib.PerUnit) != len(s.units) {
 			return fmt.Errorf("sim: checkpoint attribution has %d units, machine has %d", len(ck.Attrib.PerUnit), len(s.units))
@@ -347,8 +373,6 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		for k, v := range ck.Attrib.WaitRegs {
 			s.attrib.waitRegs[k] = v
 		}
-	} else {
-		s.attrib = nil
 	}
 
 	pending := make(map[int]bool, len(ck.PendingSpawns))
@@ -357,10 +381,16 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 	}
 	s.threads = nil
 	s.pendingSpawns = nil
-	byID := make(map[int]*Thread, len(ck.Threads))
+	s.byID = make([]*Thread, ck.NextTID)
 	for _, ts := range ck.Threads {
+		if ts.ID < 0 || ts.ID >= ck.NextTID || s.byID[ts.ID] != nil {
+			return fmt.Errorf("sim: checkpoint thread ID %d duplicated or outside next_tid %d", ts.ID, ck.NextTID)
+		}
 		if ts.SegIdx < 0 || ts.SegIdx >= len(s.prog.Segments) {
 			return fmt.Errorf("sim: checkpoint thread %d has segment %d out of range", ts.ID, ts.SegIdx)
+		}
+		if (ts.Stalls != nil) != (ck.Attrib != nil) {
+			return fmt.Errorf("sim: checkpoint thread %d and run disagree on stall attribution", ts.ID)
 		}
 		t := &Thread{
 			ID: ts.ID, Priority: ts.Priority, SegIdx: ts.SegIdx,
@@ -376,30 +406,23 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		if err := t.Regs.SetState(ts.Regs); err != nil {
 			return fmt.Errorf("sim: thread %d: %w", ts.ID, err)
 		}
-		if byID[t.ID] != nil {
-			return fmt.Errorf("sim: checkpoint has duplicate thread %d", t.ID)
-		}
-		byID[t.ID] = t
+		s.byID[t.ID] = t
 		if pending[t.ID] {
 			s.pendingSpawns = append(s.pendingSpawns, t)
 		} else {
 			s.threads = append(s.threads, t)
 		}
 	}
-	s.byID = make([]*Thread, ck.NextTID)
-	for id, t := range byID {
-		if id < 0 || id >= ck.NextTID {
-			return fmt.Errorf("sim: checkpoint thread %d outside next_tid %d", id, ck.NextTID)
-		}
-		s.byID[id] = t
-	}
 
 	s.wbq = nil
 	s.wbqSorted = 0
 	for _, ws := range ck.Writebacks {
-		t := byID[ws.Thread]
+		t := s.restoredThread(ws.Thread)
 		if t == nil {
 			return fmt.Errorf("sim: checkpoint writeback references unknown thread %d", ws.Thread)
+		}
+		if err := s.checkReg(ws.Dst, ws.SrcCluster); err != nil {
+			return err
 		}
 		s.wbq = append(s.wbq, writeback{
 			thread: t, dst: ws.Dst, val: ws.Val,
@@ -411,7 +434,7 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		return err
 	}
 	if err := s.mem.ForEachRequest(func(r *memsys.Request) error {
-		return s.validateTag(r.Tag, byID)
+		return s.validateTag(r.Tag)
 	}); err != nil {
 		return err
 	}
@@ -454,7 +477,7 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		s.dyn.stats = ck.Dyn.Stats
 		s.dyn.stats.Prefetch = nil
 		for _, dts := range ck.Dyn.Threads {
-			t := byID[dts.Thread]
+			t := s.restoredThread(dts.Thread)
 			if t == nil {
 				return fmt.Errorf("sim: checkpoint window references unknown thread %d", dts.Thread)
 			}
@@ -464,8 +487,8 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 			}
 			win := dynsched.NewWindow(t.Seg, s.dyn.winCap, uint64(t.SegIdx)<<20)
 			for _, es := range dts.Entries {
-				if es.IP < 0 || es.IP >= len(t.Seg.Instrs) {
-					return fmt.Errorf("sim: checkpoint thread %d window entry ip %d out of range", dts.Thread, es.IP)
+				if n := len(t.Seg.Instrs); es.IP < 0 || es.IP >= n || es.NextIP < dynsched.IPUnknown || es.NextIP >= n || es.Target < dynsched.IPEnd || es.Target >= n {
+					return fmt.Errorf("sim: checkpoint thread %d window entry ip %d (next %d, target %d) out of range", dts.Thread, es.IP, es.NextIP, es.Target)
 				}
 				if len(es.Issued) != len(t.Seg.Instrs[es.IP].Ops) {
 					return fmt.Errorf("sim: checkpoint thread %d window entry ip %d has %d issue slots, word has %d",
@@ -481,6 +504,9 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 			}
 			t.dyn = &dynThread{win: win, squashUntil: dts.SquashUntil, specIssued: dts.SpecIssued}
 			for _, u := range dts.Undo {
+				if err := s.checkReg(u.Reg, 0); err != nil {
+					return err
+				}
 				t.dyn.undo = append(t.dyn.undo, specUndo{reg: u.Reg, old: u.Old, wbSeq: u.WbSeq})
 			}
 			// Re-alias the thread's issue bitmap to the restored head entry.

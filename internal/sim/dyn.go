@@ -253,51 +253,22 @@ func (s *Sim) issueDynOp(t *Thread, k int, e *dynsched.Entry, slot int, op *isa.
 	u := s.units[slot]
 	d := t.dyn
 	e.Issued[slot] = true
-	t.OpsIssued++
-	t.lastIssue = s.cycle
-	s.stats.Ops++
-	s.stats.IssuedByKind[u.Kind]++
-	s.stats.IssuedByUnit[slot]++
 	if k > 0 {
 		s.dyn.stats.WindowIssued++
 	}
-	s.progress()
-
-	vals := s.valScratch[:0]
-	for _, src := range op.Srcs {
-		vals = append(vals, t.Regs.OperandValue(src))
-	}
-	s.valScratch = vals[:0]
-	if s.trace != nil {
-		fmt.Fprintf(s.trace, "[%6d] t%d u%d issue %s (win+%d)\n", s.cycle, t.ID, slot, op, k)
-	}
-	if s.issueHook != nil {
-		s.issueHook(s.cycle, slot, t.ID, op)
-	}
-	if s.jsonTrace != nil {
-		s.jsonTrace.issue(s.cycle, slot, t.ID, op, u)
-	}
+	vals := s.commitIssue(t, slot, k, op)
 
 	switch op.Code {
 	case isa.OpLoad, isa.OpStore:
-		for _, dst := range op.Dests {
-			t.Regs.ClearValid(dst)
-		}
 		s.issueMemRef(t, slot, op, vals, e.IP)
 	case isa.OpJmp:
 		// Successor resolved statically at fetch; nothing to do.
-	case isa.OpBt:
-		s.resolveBranch(t, k, e, op, vals[0].Truthy())
-	case isa.OpBf:
-		s.resolveBranch(t, k, e, op, !vals[0].Truthy())
+	case isa.OpBt, isa.OpBf:
+		s.resolveBranch(t, k, e, op, branchTaken(op, vals))
 	case isa.OpFork:
 		s.spawn(op.Target)
 	case isa.OpHalt:
-		t.Halted = true
-		t.HaltAt = s.cycle
-		for _, other := range s.threads {
-			other.stalled = false
-		}
+		s.haltIssued(t)
 	default:
 		res, err := isa.Eval(op.Code, vals)
 		if err != nil {
@@ -305,7 +276,6 @@ func (s *Sim) issueDynOp(t *Thread, k int, e *dynsched.Entry, slot int, op *isa.
 		}
 		for _, dst := range op.Dests {
 			old := t.Regs.Read(dst)
-			t.Regs.ClearValid(dst)
 			s.pushWriteback(t, dst, res, u.Cluster, s.cycle+int64(u.Latency))
 			if e.Spec {
 				d.undo = append(d.undo, specUndo{reg: dst, old: old, wbSeq: s.wbSeq})

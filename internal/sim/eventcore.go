@@ -32,17 +32,18 @@ package sim
 //     through `readyAt <= cycle` comparisons, whose verdicts the
 //     writeback bound keeps constant across the skipped range, so one
 //     classification per thread is credited k times (conservation:
-//     every active thread still gets exactly one cause per cycle).
+//     every active thread still gets exactly one cause per cycle) and
+//     reaches the observers as one k-cycle stall span.
+//   - Observers: issue, writeback, and spawn events happen only on
+//     executed cycles, and a skipped cycle has none of them.
 //   - Side channels: checkpoint cadence, the watchdog window, the
 //     deadlock window, and the cycle budget are skip horizons, so those
 //     events fire at exactly the cycle the ticking kernel fires them.
 //
-// Skipping is disabled by construction when a per-cycle observer or a
-// per-cycle state mutation exists: text traces, issue hooks (the
-// InterleaveRecorder), JSON tracers, operation caches (a lookup per
-// probe mutates fill state), and unit-outage injection (issueCoupled
-// draws the outage RNG for every slot every cycle, so the fault
-// schedule itself is per-cycle). Memory delay/drop faults and port
+// Only per-cycle state mutations disable skipping: operation caches (a
+// lookup per probe mutates fill state) and unit-outage injection
+// (issueCoupled draws the outage RNG for every slot every cycle, so the
+// fault schedule itself is per-cycle). Memory delay/drop faults and port
 // outages draw their RNG only at commits and active drains, which occur
 // on identical cycles in both kernels, so they stay skippable.
 
@@ -73,21 +74,9 @@ func (s *Sim) rearmProbe() {
 }
 
 // skipAllowed decides once per Run whether cycle skipping is sound for
-// this Sim's configuration and observers.
+// this Sim's configuration.
 func (s *Sim) skipAllowed() bool {
-	if s.skipDisabled {
-		return false
-	}
-	if s.trace != nil || s.issueHook != nil || s.jsonTrace != nil {
-		return false
-	}
-	if s.opCaches != nil {
-		return false
-	}
-	if s.inj != nil && s.inj.Model().UnitOutageRate > 0 {
-		return false
-	}
-	return true
+	return !s.skipDisabled && s.opCaches == nil && (s.inj == nil || s.inj.Model().UnitOutageRate == 0)
 }
 
 // skipBudget computes, after a quiet step at s.cycle, how many
@@ -174,26 +163,10 @@ func (s *Sim) skipBudget(stallLimit, maxCycles int64) int64 {
 
 // skipCycles jumps the machine over k provably idle cycles, crediting
 // each skipped cycle's stall classification so the attribution
-// histograms are identical to the ticking kernel's.
+// histograms and observers' stall spans match the ticking kernel's.
 func (s *Sim) skipCycles(k int64) {
 	if s.attrib != nil {
-		for _, t := range s.threads {
-			if t.Halted {
-				continue
-			}
-			// The classification is constant across the skipped range:
-			// machine state is frozen and every queued writeback's readyAt
-			// lies beyond the jump (see the file comment).
-			cause, slot, reg, hasReg := s.classify(t)
-			s.attrib.slots += k
-			t.stalls[cause] += k
-			if slot >= 0 {
-				s.attrib.perUnit[slot][cause] += k
-			}
-			if hasReg {
-				s.attrib.waitRegs[reg.String()] += k
-			}
-		}
+		s.classifyCycles(s.cycle+1, k)
 	}
 	s.cycle += k
 	s.mem.SkipTicks(k)

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"testing"
 
 	"pcoup/internal/faults"
@@ -238,21 +239,29 @@ func TestEventCoreMatchesTickingWithFaults(t *testing.T) {
 	t.Logf("event core skipped %d of %d cycles under mem faults", event.SkippedCycles(), got.Cycles)
 }
 
-// TestEventCoreDisabledByObservers pins the disabled-by-construction
-// rule: per-cycle observers and per-cycle fault draws force the ticking
-// kernel.
-func TestEventCoreDisabledByObservers(t *testing.T) {
-	// Issue hooks (the InterleaveRecorder installs one) see every cycle.
-	hooked, err := New(slowMachine(5000), loadChain(),
-		WithIssueHook(func(int64, int, int, *isa.Op) {}))
+// TestEventCoreObserversKeepSkipping pins which installations force the
+// ticking kernel: observers (every consumer at once) never do, and
+// per-cycle fault draws still do.
+func TestEventCoreObserversKeepSkipping(t *testing.T) {
+	cfg := slowMachine(5000)
+	plain, err := New(cfg, loadChain())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hooked.Run(50_000); err != nil {
+	if _, err := plain.Run(50_000); err != nil {
 		t.Fatal(err)
 	}
-	if hooked.SkippedCycles() != 0 {
-		t.Errorf("skipped %d cycles with an issue hook installed, want 0", hooked.SkippedCycles())
+	observed, err := New(cfg, loadChain(),
+		WithObserver(NewTextTrace(io.Discard)), WithObserver(NewJSONTracer(cfg)),
+		WithObserver(NewTimeline(cfg, 64)), WithObserver(NewInterleaveRecorder(cfg, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := observed.Run(50_000); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := observed.SkippedCycles(), plain.SkippedCycles(); got != want || want == 0 {
+		t.Errorf("skipped %d cycles with every observer installed, %d without (want equal and > 0)", got, want)
 	}
 	// Unit outages draw RNG per slot per cycle.
 	s, err := New(faultyMachine(), pingPong(5), WithWatchdog(8, 1<<20))

@@ -11,9 +11,11 @@ import (
 // InterleaveRecorder captures the per-cycle mapping of function units to
 // threads — the view of the paper's Figures 1 and 2, where several
 // threads' statically scheduled instruction streams interleave over the
-// shared units at runtime. Installing its hook forces the ticking kernel
-// (skipAllowed): the recorder is a per-cycle observer.
+// shared units at runtime. It is an Observer of issue events: install it
+// with WithObserver. Cycles on which nothing issues leave all-idle rows,
+// so the event core may jump them without changing the recording.
 type InterleaveRecorder struct {
+	nopEvents
 	cfg      *machine.Config
 	maxCycle int64
 	stride   int
@@ -24,7 +26,7 @@ type InterleaveRecorder struct {
 	// fresh row per cycle and hashed on every probe.
 	grid []int
 	// recorded is the highest cycle with a recorded row; the guard in
-	// Hook keeps it <= maxCycle when a cap is set.
+	// Issue keeps it <= maxCycle when a cap is set.
 	recorded int64
 }
 
@@ -36,29 +38,19 @@ func NewInterleaveRecorder(cfg *machine.Config, maxCycle int64) *InterleaveRecor
 }
 
 // RecordedCycles returns how many cycles have recorded rows (trailing
-// all-idle cycles never reach the hook and are not counted).
+// all-idle cycles issue nothing and are not counted).
 func (ir *InterleaveRecorder) RecordedCycles() int64 { return ir.recorded }
 
-// Hook returns the issue hook to install with WithIssueHook.
-func (ir *InterleaveRecorder) Hook() Option {
-	return WithIssueHook(func(cycle int64, unit, thread int, _ *isa.Op) {
-		if cycle < 1 || (ir.maxCycle > 0 && cycle > ir.maxCycle) {
-			return
-		}
-		if need := int(cycle) * ir.stride; len(ir.grid) < need {
-			if cap(ir.grid) < need {
-				grown := make([]int, need, need*2)
-				copy(grown, ir.grid)
-				ir.grid = grown
-			} else {
-				ir.grid = ir.grid[:need]
-			}
-		}
-		if cycle > ir.recorded {
-			ir.recorded = cycle
-		}
-		ir.grid[(int(cycle)-1)*ir.stride+unit] = thread + 1
-	})
+// Issue records the unit's thread in the cycle's row.
+func (ir *InterleaveRecorder) Issue(cycle int64, unit, thread, _ int, _ *isa.Op) {
+	if cycle < 1 || (ir.maxCycle > 0 && cycle > ir.maxCycle) {
+		return
+	}
+	if need := int(cycle) * ir.stride; len(ir.grid) < need {
+		ir.grid = append(ir.grid, make([]int, need-len(ir.grid))...)
+	}
+	ir.recorded = max(ir.recorded, cycle)
+	ir.grid[(int(cycle)-1)*ir.stride+unit] = thread + 1
 }
 
 // row returns the recorded row for a cycle, or nil.

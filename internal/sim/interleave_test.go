@@ -27,7 +27,7 @@ func TestInterleaveRecorder(t *testing.T) {
 	cfg := miniMachine()
 	p := prog(main, seg("a", uIU0), seg("b", uIU1))
 	rec := NewInterleaveRecorder(cfg, 100)
-	s, err := New(cfg, p, rec.Hook())
+	s, err := New(cfg, p, WithObserver(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestInterleaveRecorderCap(t *testing.T) {
 		word(opHalt()),
 	}}
 	rec := NewInterleaveRecorder(cfg, 2)
-	s, err := New(cfg, prog(main), rec.Hook())
+	s, err := New(cfg, prog(main), WithObserver(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestInterleaveRecorderCountPinned(t *testing.T) {
 	instrs = append(instrs, word(opHalt()))
 	main := &isa.ThreadCode{Name: "main", Instrs: instrs}
 	rec := NewInterleaveRecorder(cfg, 0)
-	s, err := New(cfg, prog(main), rec.Hook())
+	s, err := New(cfg, prog(main), WithObserver(rec))
 	if err != nil {
 		t.Fatal(err)
 	}

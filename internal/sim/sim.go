@@ -10,7 +10,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 
 	"pcoup/internal/faults"
@@ -168,8 +167,8 @@ type Sim struct {
 	// pendingSpawns created this cycle become active next cycle.
 	pendingSpawns []*Thread
 
-	trace     io.Writer
-	issueHook func(cycle int64, unit int, thread int, op *isa.Op)
+	// obs receive the kernel's events, in installation order.
+	obs []Observer
 
 	// ctx, when set, is polled by the cycle loop so long simulations can
 	// be cancelled or deadlined from outside (the service layer's per-job
@@ -183,8 +182,6 @@ type Sim struct {
 	// attrib accumulates per-cycle stall attribution; nil unless
 	// enabled, so the default path pays only a nil check per cycle.
 	attrib *stallAttrib
-	// jsonTrace receives structured trace events; nil unless enabled.
-	jsonTrace *JSONTracer
 
 	// inj injects deterministic faults; nil unless the machine's fault
 	// model is enabled.
@@ -207,17 +204,6 @@ type Sim struct {
 
 // Option configures a Sim.
 type Option func(*Sim)
-
-// WithTrace enables a per-event text trace written to w (debugging aid).
-func WithTrace(w io.Writer) Option { return func(s *Sim) { s.trace = w } }
-
-// WithIssueHook installs a callback invoked on every operation issue,
-// with the cycle, global unit slot, issuing thread id, and the operation.
-// Used by visualizations of the unit-to-thread interleaving (the paper's
-// Figures 1 and 2).
-func WithIssueHook(f func(cycle int64, unit int, thread int, op *isa.Op)) Option {
-	return func(s *Sim) { s.issueHook = f }
-}
 
 // WithContext attaches a context to the simulation. Run polls it
 // periodically (every cancelCheckMask+1 cycles, so the hot loop pays no
@@ -362,9 +348,6 @@ func (s *Sim) Memory() *memsys.Memory { return s.mem }
 // cells call it between cells to keep steady-state allocation flat.
 func (s *Sim) Release() { s.mem.Recycle() }
 
-// Cycle returns the current cycle number.
-func (s *Sim) Cycle() int64 { return s.cycle }
-
 // spawn creates a thread executing code segment segIdx.
 func (s *Sim) spawn(segIdx int) *Thread {
 	t := &Thread{
@@ -381,24 +364,17 @@ func (s *Sim) spawn(segIdx int) *Thread {
 	if s.attrib != nil {
 		t.stalls = new(StallBreakdown)
 	}
-	if s.jsonTrace != nil {
-		s.jsonTrace.thread(t.ID, s.prog.Segments[segIdx].Name)
+	for _, o := range s.obs {
+		o.Spawn(s.cycle, t.ID, t.Seg.Name)
 	}
 	t.branchTarget = -1
-	if !t.advanceFromStart() {
+	if !t.advance() {
 		t.Halted = true
 		t.HaltAt = s.cycle
 	}
 	s.attachWindow(t)
 	s.pendingSpawns = append(s.pendingSpawns, t)
 	return t
-}
-
-// advanceFromStart positions a fresh thread at its first non-empty word.
-func (t *Thread) advanceFromStart() bool {
-	t.IP = -1
-	t.branchTaken = false
-	return t.advance()
 }
 
 func (s *Sim) activateSpawns() {
@@ -651,7 +627,7 @@ func (s *Sim) step() {
 	// 4. Stall attribution: classify what every active thread did (or
 	// why it could not issue) this cycle, before frontiers move.
 	if s.attrib != nil {
-		s.classifyCycle()
+		s.classifyCycles(s.cycle, 1)
 	}
 
 	// 5. Advance instruction frontiers. Window threads retire/extend in
@@ -806,8 +782,8 @@ func (s *Sim) drainWritebacks() bool {
 		if s.arb.TryGrant(interconnect.Request{SrcCluster: wb.srcCluster, DstCluster: wb.dst.Cluster}) {
 			wb.thread.Regs.Write(wb.dst, wb.val)
 			wb.thread.stalled = false
-			if s.trace != nil {
-				fmt.Fprintf(s.trace, "[%6d] t%d wb %s = %s\n", s.cycle, wb.thread.ID, wb.dst, wb.val)
+			for _, o := range s.obs {
+				o.Writeback(s.cycle, wb.thread.ID, wb.dst, wb.val)
 			}
 			s.progress()
 		} else {
@@ -999,58 +975,19 @@ func (s *Sim) issueOp(t *Thread, slot int, op *isa.Op) {
 		t.issued = append(t.issued, false)
 	}
 	t.issued[slot] = true
-	t.OpsIssued++
-	t.lastIssue = s.cycle
-	s.stats.Ops++
-	s.stats.IssuedByKind[u.Kind]++
-	s.stats.IssuedByUnit[slot]++
-	s.progress()
-
-	vals := s.valScratch[:0]
-	for _, src := range op.Srcs {
-		vals = append(vals, t.Regs.OperandValue(src))
-	}
-	s.valScratch = vals[:0]
-	for _, d := range op.Dests {
-		t.Regs.ClearValid(d)
-	}
-	if s.trace != nil {
-		fmt.Fprintf(s.trace, "[%6d] t%d u%d issue %s\n", s.cycle, t.ID, slot, op)
-	}
-	if s.issueHook != nil {
-		s.issueHook(s.cycle, slot, t.ID, op)
-	}
-	if s.jsonTrace != nil {
-		s.jsonTrace.issue(s.cycle, slot, t.ID, op, u)
-	}
+	vals := s.commitIssue(t, slot, -1, op)
 
 	switch op.Code {
 	case isa.OpLoad, isa.OpStore:
 		s.issueMemRef(t, slot, op, vals, t.IP)
-	case isa.OpJmp:
-		t.branchTaken = true
-		t.branchTarget = op.Target
-	case isa.OpBt:
-		if vals[0].Truthy() {
-			t.branchTaken = true
-			t.branchTarget = op.Target
-		}
-	case isa.OpBf:
-		if !vals[0].Truthy() {
-			t.branchTaken = true
-			t.branchTarget = op.Target
+	case isa.OpJmp, isa.OpBt, isa.OpBf:
+		if branchTaken(op, vals) {
+			t.branchTaken, t.branchTarget = true, op.Target
 		}
 	case isa.OpFork:
 		s.spawn(op.Target)
 	case isa.OpHalt:
-		t.Halted = true
-		t.HaltAt = s.cycle
-		// A halt frees a thread slot mid-cycle: forks blocked on
-		// MaxActiveThreads become ready for the units arbitrated after
-		// this one, exactly as under the uncached scan.
-		for _, other := range s.threads {
-			other.stalled = false
-		}
+		s.haltIssued(t)
 	default:
 		// Pure compute: result known now, written back after the unit's
 		// pipeline latency.
@@ -1062,6 +999,47 @@ func (s *Sim) issueOp(t *Thread, slot int, op *isa.Op) {
 			s.pushWriteback(t, d, res, u.Cluster, s.cycle+int64(u.Latency))
 		}
 	}
+}
+
+// branchTaken resolves a branch from its operand values.
+func branchTaken(op *isa.Op, vals []isa.Value) bool {
+	return op.Code == isa.OpJmp || vals[0].Truthy() == (op.Code == isa.OpBt)
+}
+
+// haltIssued retires t as its halt issues. The halt frees a thread slot
+// mid-cycle: forks blocked on MaxActiveThreads become ready for the
+// units arbitrated after this one, exactly as under the uncached scan.
+func (s *Sim) haltIssued(t *Thread) {
+	t.Halted, t.HaltAt = true, s.cycle
+	for _, other := range s.threads {
+		other.stalled = false
+	}
+}
+
+// commitIssue is the bookkeeping shared by in-order and window issue:
+// issue counters, progress, the observers' issue event (win is the
+// window offset, -1 for in-order issue), the operand reads, whose values
+// it returns in scratch valid until the next issue, and clearing the
+// destinations' presence bits (only value-producing ops have any).
+func (s *Sim) commitIssue(t *Thread, slot, win int, op *isa.Op) []isa.Value {
+	t.OpsIssued++
+	t.lastIssue = s.cycle
+	s.stats.Ops++
+	s.stats.IssuedByKind[s.units[slot].Kind]++
+	s.stats.IssuedByUnit[slot]++
+	s.progress()
+	for _, o := range s.obs {
+		o.Issue(s.cycle, slot, t.ID, win, op)
+	}
+	vals := s.valScratch[:0]
+	for _, src := range op.Srcs {
+		vals = append(vals, t.Regs.OperandValue(src))
+	}
+	s.valScratch = vals[:0]
+	for _, d := range op.Dests {
+		t.Regs.ClearValid(d)
+	}
+	return vals
 }
 
 // finalize computes summary statistics after the run completes.
@@ -1118,8 +1096,5 @@ func (s *Sim) finalize() {
 			}
 		}
 		s.stats.Stalls = st
-	}
-	if s.jsonTrace != nil {
-		s.jsonTrace.finish(s.cycle)
 	}
 }

@@ -131,7 +131,7 @@ func TestInstructionSlip(t *testing.T) {
 	p.Data = []isa.DataSegment{{Name: "cell", Addr: 8, Values: []isa.Value{isa.Int(0)}, Full: false}}
 
 	var trace strings.Builder
-	s, err := New(miniMachine(), p, WithTrace(&trace))
+	s, err := New(miniMachine(), p, WithObserver(NewTextTrace(&trace)))
 	if err != nil {
 		t.Fatal(err)
 	}

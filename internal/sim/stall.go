@@ -126,7 +126,7 @@ func (b *StallBreakdown) UnmarshalJSON(data []byte) error {
 }
 
 // StallStats is the run-wide stall attribution, populated on Result only
-// when WithStallAttribution (or a JSON tracer) was enabled.
+// when WithStallAttribution was given or a JSONTracer was installed.
 //
 // Conservation invariant: every active (non-halted) thread contributes
 // exactly one classification per cycle, so Total.Total() == Slots ==
@@ -175,33 +175,33 @@ func (s *Sim) ensureAttrib() {
 	}
 }
 
-// classifyCycle records one classification for every thread active this
-// cycle. Called at the end of step, after issue and frontier advance, so
-// a thread that issued its halt this cycle still counts as issued.
-func (s *Sim) classifyCycle() {
+// classifyCycles credits every active thread's classification to the n
+// cycles from first and emits it to the observers as a stall span. step
+// calls it per cycle (n = 1) after issue and before frontiers advance, so
+// a thread that issued its halt this cycle counts as issued; the event
+// core calls it from a quiet cycle for the k cycles it jumps, over which
+// that classification holds (see eventcore.go).
+func (s *Sim) classifyCycles(first, n int64) {
 	for _, t := range s.threads {
 		if t.Halted && !(t.HaltAt == s.cycle && t.lastIssue == s.cycle) {
 			continue
 		}
-		s.attrib.slots++
-		var cause StallCause
-		var slot int
+		cause, slot := CauseIssued, -1
 		var reg isa.RegRef
 		var hasReg bool
-		if t.lastIssue == s.cycle {
-			cause, slot = CauseIssued, -1
-		} else {
+		if t.lastIssue != s.cycle {
 			cause, slot, reg, hasReg = s.classify(t)
 		}
-		t.stalls[cause]++
+		s.attrib.slots += n
+		t.stalls[cause] += n
 		if slot >= 0 {
-			s.attrib.perUnit[slot][cause]++
+			s.attrib.perUnit[slot][cause] += n
 		}
 		if hasReg {
-			s.attrib.waitRegs[reg.String()]++
+			s.attrib.waitRegs[reg.String()] += n
 		}
-		if s.jsonTrace != nil {
-			s.jsonTrace.classify(s.cycle, t.ID, cause)
+		for _, o := range s.obs {
+			o.Stall(t.ID, cause, first, n)
 		}
 	}
 }

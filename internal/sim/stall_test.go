@@ -186,7 +186,7 @@ func TestShortMaxCyclesStillDiagnosesDeadlock(t *testing.T) {
 
 func TestJSONTraceOutput(t *testing.T) {
 	tr := NewJSONTracer(miniMachine())
-	s, err := New(miniMachine(), contended(), WithJSONTrace(tr))
+	s, err := New(miniMachine(), contended(), WithObserver(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

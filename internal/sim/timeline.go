@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"pcoup/internal/isa"
 	"pcoup/internal/machine"
@@ -24,9 +25,11 @@ type TimelinePoint struct {
 // Timeline records utilization over execution time — applications
 // "exhibit an uneven amount of instruction-level parallelism during
 // their execution" (the paper's opening motivation), and the timeline
-// makes that unevenness measurable.
+// makes that unevenness measurable. It is an Observer of issue events:
+// install it with WithObserver.
 type Timeline struct {
-	cfg    *machine.Config
+	nopEvents
+	units  []machine.UnitRef
 	bucket int64
 	points []TimelinePoint
 	seen   map[int]bool
@@ -37,28 +40,25 @@ func NewTimeline(cfg *machine.Config, bucket int64) *Timeline {
 	if bucket < 1 {
 		bucket = 1
 	}
-	return &Timeline{cfg: cfg, bucket: bucket, seen: map[int]bool{}}
+	return &Timeline{units: cfg.Units(), bucket: bucket, seen: map[int]bool{}}
 }
 
-// Hook returns the issue hook to install with WithIssueHook.
-func (tl *Timeline) Hook() Option {
-	units := tl.cfg.Units()
-	return WithIssueHook(func(cycle int64, unit, thread int, _ *isa.Op) {
-		idx := int((cycle - 1) / tl.bucket)
-		for len(tl.points) <= idx {
-			tl.points = append(tl.points, TimelinePoint{
-				StartCycle: int64(len(tl.points))*tl.bucket + 1,
-				Cycles:     tl.bucket,
-			})
-			tl.seen = map[int]bool{}
-		}
-		p := &tl.points[idx]
-		p.Issued[units[unit].Kind]++
-		if !tl.seen[thread] {
-			tl.seen[thread] = true
-			p.Threads++
-		}
-	})
+// Issue counts one issue in its cycle's bucket.
+func (tl *Timeline) Issue(cycle int64, unit, thread, _ int, _ *isa.Op) {
+	idx := int((cycle - 1) / tl.bucket)
+	for len(tl.points) <= idx {
+		tl.points = append(tl.points, TimelinePoint{
+			StartCycle: int64(len(tl.points))*tl.bucket + 1,
+			Cycles:     tl.bucket,
+		})
+		tl.seen = map[int]bool{}
+	}
+	p := &tl.points[idx]
+	p.Issued[tl.units[unit].Kind]++
+	if !tl.seen[thread] {
+		tl.seen[thread] = true
+		p.Threads++
+	}
 }
 
 // Points returns the recorded buckets, trimming the final bucket's width
@@ -80,7 +80,7 @@ func (tl *Timeline) Write(w io.Writer, totalCycles int64) {
 	pts := tl.Points(totalCycles)
 	fmt.Fprintf(w, "utilization timeline (bucket = %d cycles; ops/cycle per class)\n", tl.bucket)
 	fmt.Fprintf(w, "%10s %7s %7s %7s %7s %8s  total\n", "cycle", "IU", "FPU", "MEM", "BR", "threads")
-	maxUnits := tl.cfg.NumUnits()
+	maxUnits := len(tl.units)
 	for _, p := range pts {
 		if p.Cycles <= 0 {
 			continue
@@ -96,14 +96,6 @@ func (tl *Timeline) Write(w io.Writer, totalCycles int64) {
 			p.StartCycle,
 			float64(p.Issued[machine.IU])/c, float64(p.Issued[machine.FPU])/c,
 			float64(p.Issued[machine.MEM])/c, float64(p.Issued[machine.BR])/c,
-			p.Threads, bar(width))
+			p.Threads, strings.Repeat("#", width))
 	}
-}
-
-func bar(n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '#'
-	}
-	return string(b)
 }

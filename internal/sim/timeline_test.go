@@ -28,7 +28,7 @@ func TestTimeline(t *testing.T) {
 
 	cfg := miniMachine()
 	tl := NewTimeline(cfg, 8)
-	s, err := New(cfg, prog(main), tl.Hook())
+	s, err := New(cfg, prog(main), WithObserver(tl))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"pcoup/internal/isa"
@@ -14,19 +15,12 @@ type traceDoc struct {
 	DisplayUnit string           `json:"displayTimeUnit"`
 }
 
-// runTraced executes a small program with the JSON tracer attached and
-// returns the parsed trace document.
-func runTraced(t *testing.T) traceDoc {
+// traceBytes runs p with the JSON tracer attached and returns the
+// written trace.
+func traceBytes(t *testing.T, p *isa.Program) []byte {
 	t.Helper()
-	cfg := miniMachine()
-	main := &isa.ThreadCode{Name: "main", Instrs: []isa.Instruction{
-		word(opAdd(uIU0, r(0, 0), isa.ImmInt(1), isa.ImmInt(2))),
-		word(opAdd(uIU0, r(0, 1), isa.Reg(r(0, 0)), isa.ImmInt(3))),
-		word(opStore(uMEM0, isa.Reg(r(0, 1)), 8)),
-		word(opHalt()),
-	}}
-	tr := NewJSONTracer(cfg)
-	s, err := New(cfg, prog(main), WithJSONTrace(tr))
+	tr := NewJSONTracer(miniMachine())
+	s, err := New(miniMachine(), p, WithObserver(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,19 +31,87 @@ func runTraced(t *testing.T) traceDoc {
 	if err := tr.Write(&buf); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
+	return buf.Bytes()
+}
+
+// tracedProgram is a single thread issuing two dependent adds, a store,
+// and a halt.
+func tracedProgram() *isa.Program {
+	return prog(&isa.ThreadCode{Name: "main", Instrs: []isa.Instruction{
+		word(opAdd(uIU0, r(0, 0), isa.ImmInt(1), isa.ImmInt(2))),
+		word(opAdd(uIU0, r(0, 1), isa.Reg(r(0, 0)), isa.ImmInt(3))),
+		word(opStore(uMEM0, isa.Reg(r(0, 1)), 8)),
+		word(opHalt()),
+	}})
+}
+
+// tiedFinish is a program whose four workers, held off their units by
+// the higher-priority worker hog, all start issuing on one cycle and
+// keep issuing to their (staggered) halts, so the run ends with four
+// open stall spans that start on that cycle.
+func tiedFinish() *isa.Program {
+	ops := []func() *isa.Op{
+		func() *isa.Op { return opAdd(uIU0, r(0, 0), isa.ImmInt(1), isa.ImmInt(1)) },
+		func() *isa.Op { return opAdd(uIU1, r(1, 0), isa.ImmInt(1), isa.ImmInt(1)) },
+		func() *isa.Op { return opStore(uMEM0, isa.ImmInt(1), 8) },
+		func() *isa.Op { return opStore(uMEM1, isa.ImmInt(1), 9) },
+	}
+	seg := func(name string, words ...isa.Instruction) *isa.ThreadCode {
+		return &isa.ThreadCode{Name: name, Instrs: append(words, word(opHalt()))}
+	}
+	var hog []isa.Instruction
+	for i := 0; i < 6; i++ {
+		hog = append(hog, word(ops[0](), ops[1](), ops[2](), ops[3]()))
+	}
+	forks := []isa.Instruction{word(forkOp(1))}
+	segs := []*isa.ThreadCode{nil, seg("hog", hog...)}
+	for w, op := range ops {
+		forks = append(forks, word(forkOp(len(segs))))
+		var words []isa.Instruction
+		for i := 0; i < 3+w; i++ {
+			words = append(words, word(op()))
+		}
+		segs = append(segs, seg(fmt.Sprintf("w%d", w), words...))
+	}
+	segs[0] = seg("main", forks...)
+	return prog(segs...)
+}
+
+// runTraced traces tracedProgram and returns the parsed trace document.
+func runTraced(t *testing.T) traceDoc {
+	t.Helper()
+	return parseTrace(t, traceBytes(t, tracedProgram()))
+}
+
+func parseTrace(t *testing.T, data []byte) traceDoc {
+	t.Helper()
 	var doc traceDoc
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("emitted trace is not valid JSON: %v\n%s", err, buf.String())
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("emitted trace is not valid JSON: %v\n%s", err, data)
 	}
 	return doc
 }
 
 // TestJSONTraceShape asserts the emitted Chrome trace-event JSON is
-// well-formed: it parses, every event carries the required keys, complete
-// events have positive durations, metadata precedes spans, and span
-// timestamps are monotonic (the viewer's assumption after Write's sort).
+// well-formed and byte-deterministic: a rerun writes identical bytes
+// (threads still open at the end are flushed in ID order), it parses,
+// every event carries the required keys, complete events have positive
+// durations, metadata precedes spans, and span timestamps are monotonic
+// (the viewer's assumption after Write's sort).
 func TestJSONTraceShape(t *testing.T) {
-	doc := runTraced(t)
+	for i, p := range []*isa.Program{tracedProgram(), contended(), tiedFinish()} {
+		data := traceBytes(t, p)
+		for rerun := 0; rerun < 4; rerun++ {
+			if again := traceBytes(t, p); !bytes.Equal(again, data) {
+				t.Fatalf("program %d: rerun wrote a different trace:\n%s\n%s", i, data, again)
+			}
+		}
+		checkTraceShape(t, parseTrace(t, data))
+	}
+}
+
+func checkTraceShape(t *testing.T, doc traceDoc) {
+	t.Helper()
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("trace has no events")
 	}
