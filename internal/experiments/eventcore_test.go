@@ -83,7 +83,7 @@ func TestEventCoreDifferential(t *testing.T) {
 		cfg:   machine.Baseline().WithMemory(machine.MemSlow),
 		every: 4096,
 	})
-	// Dynamic scheduling: window issue (issueDyn) with prediction and
+	// Dynamic scheduling: four-word window issue with prediction and
 	// prefetching.
 	cells = append(cells, cell{
 		name:  "lud/CoupledDyn@Mem2",

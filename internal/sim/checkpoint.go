@@ -191,17 +191,27 @@ func (s *Sim) checkReg(r isa.RegRef, srcCluster int) error {
 	return nil
 }
 
-func snapshotThread(t *Thread) threadState {
-	return threadState{
+// snapshotThread captures t in the in-order form: the head word's IP,
+// its issued bitmap, and — for a one-word window — its taken branch.
+// Deeper windows carry their branch state in dynThreadState instead.
+func (s *Sim) snapshotThread(t *Thread) threadState {
+	ts := threadState{
 		ID: t.ID, Priority: t.Priority, SegIdx: t.SegIdx, IP: t.IP,
-		Issued:      append([]bool(nil), t.issued...),
-		BranchTaken: t.branchTaken, BranchTarget: t.branchTarget,
-		Halted: t.Halted, SpawnAt: t.SpawnAt, HaltAt: t.HaltAt,
+		BranchTarget: -1,
+		Halted:       t.Halted, SpawnAt: t.SpawnAt, HaltAt: t.HaltAt,
 		OpsIssued: t.OpsIssued, LastIssue: t.lastIssue,
 		StoresOut: t.storesOut, SyncLoadsOut: t.syncLoadsOut,
 		Regs:   t.Regs.State(),
 		Stalls: cloneBreakdown(t.stalls),
 	}
+	if e := t.win.Head(); e != nil {
+		ts.Issued = append([]bool(nil), e.Issued...)
+		if e.Taken >= 0 && s.winCap == 1 {
+			ts.BranchTaken = true
+			ts.BranchTarget = e.Ops[e.Taken].Target
+		}
+	}
+	return ts
 }
 
 func cloneBreakdown(b *StallBreakdown) *StallBreakdown {
@@ -245,7 +255,7 @@ func (s *Sim) Snapshot() (*Checkpoint, error) {
 	// byID lists every thread in spawn order: the active ones, then
 	// this cycle's pending spawns.
 	for _, t := range s.byID {
-		ck.Threads = append(ck.Threads, snapshotThread(t))
+		ck.Threads = append(ck.Threads, s.snapshotThread(t))
 	}
 	for _, t := range s.pendingSpawns {
 		ck.PendingSpawns = append(ck.PendingSpawns, t.ID)
@@ -291,7 +301,7 @@ func (s *Sim) Snapshot() (*Checkpoint, error) {
 			ds.Prefetch = s.dyn.pref.State()
 		}
 		for _, t := range s.byID {
-			if t.dyn != nil {
+			if s.winCap > 1 && t.win.Cap() > 0 {
 				ds.Threads = append(ds.Threads, snapshotDynThread(t))
 			}
 		}
@@ -301,12 +311,11 @@ func (s *Sim) Snapshot() (*Checkpoint, error) {
 }
 
 func snapshotDynThread(t *Thread) dynThreadState {
-	d := t.dyn
-	ds := dynThreadState{Thread: t.ID, SquashUntil: d.squashUntil, SpecIssued: d.specIssued}
-	for _, u := range d.undo {
+	ds := dynThreadState{Thread: t.ID, SquashUntil: t.squashUntil, SpecIssued: t.specIssued}
+	for _, u := range t.undo {
 		ds.Undo = append(ds.Undo, specUndoState{Reg: u.reg, Old: u.old, WbSeq: u.wbSeq})
 	}
-	for _, e := range d.win.Entries {
+	for _, e := range t.win.Entries {
 		ds.Entries = append(ds.Entries, dynEntryState{
 			IP: e.IP, Issued: append([]bool(nil), e.Issued...),
 			Spec: e.Spec, Resolved: e.Resolved,
@@ -394,10 +403,9 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		}
 		t := &Thread{
 			ID: ts.ID, Priority: ts.Priority, SegIdx: ts.SegIdx,
-			Seg:  s.prog.Segments[ts.SegIdx],
-			Regs: regfile.NewSet(len(s.cfg.Clusters)),
-			IP:   ts.IP, issued: append([]bool(nil), ts.Issued...),
-			branchTaken: ts.BranchTaken, branchTarget: ts.BranchTarget,
+			Seg:    s.prog.Segments[ts.SegIdx],
+			Regs:   regfile.NewSet(len(s.cfg.Clusters)),
+			IP:     ts.IP,
 			Halted: ts.Halted, SpawnAt: ts.SpawnAt, HaltAt: ts.HaltAt,
 			OpsIssued: ts.OpsIssued, lastIssue: ts.LastIssue,
 			storesOut: ts.StoresOut, syncLoadsOut: ts.SyncLoadsOut,
@@ -405,6 +413,11 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		}
 		if err := t.Regs.SetState(ts.Regs); err != nil {
 			return fmt.Errorf("sim: thread %d: %w", ts.ID, err)
+		}
+		if s.winCap == 1 {
+			if err := s.restoreHead(t, ts); err != nil {
+				return err
+			}
 		}
 		s.byID[t.ID] = t
 		if pending[t.ID] {
@@ -477,43 +490,11 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		s.dyn.stats = ck.Dyn.Stats
 		s.dyn.stats.Prefetch = nil
 		for _, dts := range ck.Dyn.Threads {
-			t := s.restoredThread(dts.Thread)
-			if t == nil {
-				return fmt.Errorf("sim: checkpoint window references unknown thread %d", dts.Thread)
+			if err := s.restoreWindow(dts); err != nil {
+				return err
 			}
-			if len(dts.Entries) > s.dyn.winCap {
-				return fmt.Errorf("sim: checkpoint thread %d window has %d entries, capacity is %d",
-					dts.Thread, len(dts.Entries), s.dyn.winCap)
-			}
-			win := dynsched.NewWindow(t.Seg, s.dyn.winCap, uint64(t.SegIdx)<<20)
-			for _, es := range dts.Entries {
-				if n := len(t.Seg.Instrs); es.IP < 0 || es.IP >= n || es.NextIP < dynsched.IPUnknown || es.NextIP >= n || es.Target < dynsched.IPEnd || es.Target >= n {
-					return fmt.Errorf("sim: checkpoint thread %d window entry ip %d (next %d, target %d) out of range", dts.Thread, es.IP, es.NextIP, es.Target)
-				}
-				if len(es.Issued) != len(t.Seg.Instrs[es.IP].Ops) {
-					return fmt.Errorf("sim: checkpoint thread %d window entry ip %d has %d issue slots, word has %d",
-						dts.Thread, es.IP, len(es.Issued), len(t.Seg.Instrs[es.IP].Ops))
-				}
-				win.Entries = append(win.Entries, &dynsched.Entry{
-					IP: es.IP, Issued: append([]bool(nil), es.Issued...),
-					Spec: es.Spec, Resolved: es.Resolved,
-					Predicted: es.Predicted, PredTaken: es.PredTaken,
-					BrSlot: es.BrSlot, Barrier: es.Barrier,
-					NextIP: es.NextIP, Target: es.Target,
-				})
-			}
-			t.dyn = &dynThread{win: win, squashUntil: dts.SquashUntil, specIssued: dts.SpecIssued}
-			for _, u := range dts.Undo {
-				if err := s.checkReg(u.Reg, 0); err != nil {
-					return err
-				}
-				t.dyn.undo = append(t.dyn.undo, specUndo{reg: u.Reg, old: u.Old, wbSeq: u.WbSeq})
-			}
-			// Re-alias the thread's issue bitmap to the restored head entry.
-			s.syncHead(t)
 		}
 	}
-
 	s.cycle = ck.Cycle
 	s.lastProgress = ck.LastProgress
 	s.nextTID = ck.NextTID
@@ -526,6 +507,92 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 	s.stats.IssuedByKind = ck.IssuedByKind
 	s.stats.IssuedByUnit = append([]int64(nil), ck.IssuedByUnit...)
 	s.stats.WritebackRetries = ck.WritebackRetries
+	return nil
+}
+
+// restoreHead rebuilds a one-word window from t's in-order state: the
+// head word at ts.IP with its issued bitmap, and the successor its
+// issued branches fixed. A thread whose IP names no word has none.
+func (s *Sim) restoreHead(t *Thread, ts threadState) error {
+	sh := s.segShapes(t.SegIdx)
+	if ts.IP < 0 || ts.IP >= len(sh) || sh[ts.IP].NumOps == 0 {
+		return nil
+	}
+	if len(ts.Issued) != len(sh[ts.IP].Ops) {
+		return fmt.Errorf("sim: checkpoint thread %d has %d issue slots, word %d has %d", t.ID, len(ts.Issued), ts.IP, len(sh[ts.IP].Ops))
+	}
+	t.win.Init(sh, 1, len(s.units), uint64(t.SegIdx)<<20)
+	e := t.win.Fetch(ts.IP, false)
+	copy(e.Issued, ts.Issued)
+	for slot, op := range e.Ops {
+		if op == nil || !e.Issued[slot] {
+			continue
+		}
+		e.Pending--
+		if !op.IsBranch() {
+			continue
+		}
+		e.Resolved = true
+		if ts.BranchTaken && op.Target == ts.BranchTarget {
+			e.Taken, e.NextIP = slot, sh.EffIP(op.Target)
+		} else if e.Taken < 0 {
+			e.NextIP = sh.EffIP(ts.IP + 1)
+		}
+	}
+	if ts.BranchTaken && e.Taken < 0 {
+		return fmt.Errorf("sim: checkpoint thread %d took a branch to %d that word %d did not issue", t.ID, ts.BranchTarget, ts.IP)
+	}
+	return nil
+}
+
+// restoreWindow rebuilds a thread's window and speculation state from
+// its checkpoint record.
+func (s *Sim) restoreWindow(dts dynThreadState) error {
+	t := s.restoredThread(dts.Thread)
+	if t == nil {
+		return fmt.Errorf("sim: checkpoint window references unknown thread %d", dts.Thread)
+	}
+	if len(dts.Entries) > s.winCap {
+		return fmt.Errorf("sim: checkpoint thread %d window has %d entries, capacity is %d",
+			dts.Thread, len(dts.Entries), s.winCap)
+	}
+	sh := s.segShapes(t.SegIdx)
+	win := &t.win
+	win.Init(sh, s.winCap, len(s.units), uint64(t.SegIdx)<<20)
+	for _, es := range dts.Entries {
+		if n := len(sh); es.IP < 0 || es.IP >= n || es.NextIP < dynsched.IPUnknown || es.NextIP >= n || es.Target < dynsched.IPEnd || es.Target >= n {
+			return fmt.Errorf("sim: checkpoint thread %d window entry ip %d (next %d, target %d) out of range", dts.Thread, es.IP, es.NextIP, es.Target)
+		}
+		if len(es.Issued) != len(sh[es.IP].Ops) {
+			return fmt.Errorf("sim: checkpoint thread %d window entry ip %d has %d issue slots, word has %d",
+				dts.Thread, es.IP, len(es.Issued), len(sh[es.IP].Ops))
+		}
+		e := win.Fetch(es.IP, es.Spec)
+		copy(e.Issued, es.Issued)
+		e.Resolved, e.Predicted, e.PredTaken = es.Resolved, es.Predicted, es.PredTaken
+		e.BrSlot, e.Barrier, e.NextIP, e.Target = es.BrSlot, es.Barrier, es.NextIP, es.Target
+		// Taken is not recorded: any issued control op whose target is
+		// the resolved successor reproduces every later resolution.
+		for slot, op := range e.Ops {
+			if op == nil || !e.Issued[slot] {
+				continue
+			}
+			e.Pending--
+			if op.IsBranch() && es.Resolved && sh.EffIP(op.Target) == es.NextIP {
+				e.Taken = slot
+			}
+		}
+	}
+	t.squashUntil, t.specIssued, t.undo = dts.SquashUntil, dts.SpecIssued, nil
+	for _, u := range dts.Undo {
+		if err := s.checkReg(u.Reg, 0); err != nil {
+			return err
+		}
+		t.undo = append(t.undo, specUndo{reg: u.Reg, old: u.Old, wbSeq: u.WbSeq})
+	}
+	if e := win.Head(); e != nil {
+		t.IP = e.IP
+	}
 	return nil
 }
 

@@ -13,8 +13,8 @@ package sim
 //
 // Exactness argument, per input of step:
 //
-//   - Issue: issueCoupled/issueLockStep read only registers, presence
-//     bits, thread counters, and word frontiers. A quiet cycle changes
+//   - Issue: the issue phase reads only registers, presence bits,
+//     thread counters, and issue windows. A quiet cycle changes
 //     none of them, and the exhaustive per-unit scan found no ready
 //     (unit, thread) pair, so no arbitration order (including the
 //     round-robin rotation, which varies by cycle) could issue anything
@@ -42,7 +42,7 @@ package sim
 //
 // Only per-cycle state mutations disable skipping: operation caches (a
 // lookup per probe mutates fill state) and unit-outage injection
-// (issueCoupled draws the outage RNG for every slot every cycle, so the
+// (issue draws the outage RNG for every slot every cycle, so the
 // fault schedule itself is per-cycle). Memory delay/drop faults and port
 // outages draw their RNG only at commits and active drains, which occur
 // on identical cycles in both kernels, so they stay skippable.
@@ -115,10 +115,7 @@ func (s *Sim) skipBudget(stallLimit, maxCycles int64) int64 {
 	// suppressed, keeping the per-cycle classification constant.
 	if s.dyn != nil {
 		for _, t := range s.threads {
-			if t.Halted || t.dyn == nil {
-				continue
-			}
-			if b := t.dyn.squashUntil - s.cycle; b >= 0 && b < k {
+			if b := t.squashUntil - s.cycle; !t.Halted && b >= 0 && b < k {
 				k = b
 			}
 		}

@@ -183,7 +183,7 @@ func TestEventCoreCheckpointCadence(t *testing.T) {
 // draws RNG only at commits and active drains, so the event core must
 // reproduce the ticking kernel's faulty run bit for bit — results and
 // checkpoint stream both. Unit outages are absent so skipping stays
-// enabled (issueCoupled draws outage RNG per slot per cycle, which
+// enabled (the issue phase draws outage RNG per slot per cycle, which
 // forces per-cycle mode).
 func TestEventCoreMatchesTickingWithFaults(t *testing.T) {
 	memFaultMachine := func() *machine.Config {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"pcoup/internal/dynsched"
 	"pcoup/internal/isa"
 	"pcoup/internal/memsys"
 )
@@ -213,27 +214,75 @@ func (s *Sim) classifyCycles(first, n int64) {
 // cause is the one that actually gated issue. It never mutates machine
 // state, so deadlock diagnosis may call it without attribution enabled.
 func (s *Sim) classify(t *Thread) (cause StallCause, slot int, reg isa.RegRef, hasReg bool) {
-	if t.dyn != nil {
-		return s.classifyDyn(t)
+	if s.cycle <= t.squashUntil {
+		return CauseBranchSquash, -1, reg, false
 	}
-	w := t.word()
-	if w == nil {
-		return CausePresence, -1, isa.RegRef{}, false
+	if s.winCap > 1 {
+		return s.classifyWindow(t)
 	}
-	cause, slot, reg, hasReg, _ = s.classifyWord(t, w, t.issued)
+	e := t.win.Head()
+	if e == nil {
+		return CausePresence, -1, reg, false
+	}
+	cause, slot, reg, hasReg, _ = s.classifyWord(t, e)
 	return cause, slot, reg, hasReg
 }
 
-// classifyWord scans one instruction word's unissued operations in
-// ready() order and attributes the first blocking condition. blocked is
-// false when every unissued operation was ready and resident — the word
-// lost unit arbitration (the returned cause is then CauseFUBusy with
-// the first unissued slot); the dynamic-window classifier uses that
-// distinction to charge hazard-blocked-but-ready words to the window.
-func (s *Sim) classifyWord(t *Thread, w *isa.Instruction, issued []bool) (cause StallCause, slot int, reg isa.RegRef, hasReg bool, blocked bool) {
+// classifyWindow attributes a non-issuing cycle of a thread whose window
+// holds more than one word. If some op anywhere in the window is ready
+// but lost unit arbitration, the unit (fault or busy) is charged;
+// otherwise the oldest entry with unissued work is classified like an
+// in-order head word. A drained window (every fetched op issued,
+// retire/fetch limited) is the window-full structural stall.
+func (s *Sim) classifyWindow(t *Thread) (cause StallCause, slot int, reg isa.RegRef, hasReg bool) {
+	for k, e := range t.win.Entries {
+		for sl, op := range e.Ops {
+			if op == nil || e.Issued[sl] {
+				continue
+			}
+			if s.issueOK(t, k, e, op) && s.ready(t, op) {
+				if s.inj != nil && s.inj.UnitDownQuiet(sl, s.cycle) {
+					return CauseFault, sl, reg, false
+				}
+				return CauseFUBusy, sl, reg, false
+			}
+		}
+	}
+	// Nothing ready anywhere: blame the oldest entry with unissued work,
+	// classified by the same word-local rules as an in-order head. When
+	// the word-local scan finds nothing blocking (every unissued op was
+	// ready by its own word's rules), the ops are hazard-blocked in the
+	// window — speculative non-pure ops waiting on branch resolution,
+	// fork/halt waiting to reach the head, or register/memory ordering
+	// against older entries — all of which resolve through the window
+	// draining, so the window is charged.
+	for _, e := range t.win.Entries {
+		if e.Pending == 0 {
+			continue
+		}
+		cause, sl, wreg, hasReg, blocked := s.classifyWord(t, e)
+		if blocked {
+			return cause, sl, wreg, hasReg
+		}
+		return CauseWindowFull, sl, reg, false
+	}
+	// Every fetched op is in flight: the thread is limited by window
+	// capacity / retire bandwidth.
+	return CauseWindowFull, -1, reg, false
+}
+
+// classifyWord scans window entry e's unissued operations in slot and
+// ready() order and attributes the first blocking condition: the rule
+// for the head of a one-word window, the paper's in-order machine.
+// blocked is false when every unissued operation was ready and resident
+// — the word lost unit arbitration (the returned cause is then
+// CauseFUBusy with the first unissued slot); the deeper-window
+// classifier uses that distinction to charge hazard-blocked-but-ready
+// words to the window.
+func (s *Sim) classifyWord(t *Thread, e *dynsched.Entry) (cause StallCause, slot int, reg isa.RegRef, hasReg bool, blocked bool) {
 	firstUnissued := -1
-	for si, op := range w.Ops {
-		if op == nil || (si < len(issued) && issued[si]) {
+	for si, op := range e.Ops {
+		if op == nil || e.Issued[si] {
 			continue
 		}
 		if firstUnissued < 0 {
@@ -272,7 +321,7 @@ func (s *Sim) classifyWord(t *Thread, w *isa.Instruction, issued []bool) (cause 
 				return CauseMemSync, si, isa.RegRef{}, false, true
 			}
 		}
-		if !s.opCachePresent(si, t) {
+		if !s.opCachePresent(si, t.SegIdx, e.IP) {
 			return CauseOpCache, si, isa.RegRef{}, false, true
 		}
 		// Ready and resident: if the unit is inside an injected
@@ -327,9 +376,9 @@ func (s *Sim) regWaitCause(t *Thread, reg isa.RegRef) StallCause {
 // opCachePresent is the read-only counterpart of opCacheOK: it reports
 // residency without starting or installing fills (classification must
 // not perturb the machine).
-func (s *Sim) opCachePresent(slot int, t *Thread) bool {
+func (s *Sim) opCachePresent(slot, seg, ip int) bool {
 	if s.opCaches == nil {
 		return true
 	}
-	return s.opCaches[slot].present(t.SegIdx, t.IP)
+	return s.opCaches[slot].present(seg, ip)
 }

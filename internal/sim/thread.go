@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"pcoup/internal/dynsched"
 	"pcoup/internal/isa"
 	"pcoup/internal/regfile"
 )
@@ -16,14 +17,10 @@ type Thread struct {
 	Seg      *isa.ThreadCode
 	Regs     *regfile.Set
 
-	// IP indexes the current (partially issued) instruction word.
+	// IP is the word at the head of the thread's issue window (the
+	// architectural frontier); len(Seg.Instrs) once the thread ran off
+	// its code.
 	IP int
-	// issued[slot] marks operations of the current word already issued.
-	issued []bool
-	// branchTaken/branchTarget record the outcome of a branch operation
-	// issued from the current word; applied when the word completes.
-	branchTaken  bool
-	branchTarget int
 
 	Halted  bool
 	SpawnAt int64 // cycle the thread became active
@@ -48,88 +45,29 @@ type Thread struct {
 	// of this thread issues until they complete, so data guarded by a
 	// flag is never read before the flag.
 	syncLoadsOut int
-	// dyn is the thread's dynamic-scheduling state (issue window and
-	// squash bookkeeping); nil unless cfg.Dynamic.Window > 0. When set,
-	// IP and issued alias the window's head entry, so the legacy
-	// word-oriented helpers keep seeing the architectural frontier.
-	dyn *dynThread
-	// stalled caches "no unissued operation of the current word is
-	// ready": issue arbitration skips the thread until an event that can
-	// change its readiness clears the flag — a register writeback, a
+	// stalled caches "no unissued operation in the window is ready":
+	// issue arbitration skips the thread until an event that can change
+	// its readiness clears the flag — a register writeback, a
 	// memory completion, a frontier move, or any thread halting (halts
 	// free a thread slot, which is what a blocked fork waits on).
 	// Readiness depends on nothing else, so skipping a stalled thread
 	// cannot change any arbitration outcome.
 	stalled bool
-}
+	// squashUntil suppresses issue through this cycle after a
+	// misprediction (re-fetch/re-decode charge).
+	squashUntil int64
 
-// word returns the current instruction word, or nil if the thread has run
-// off the end of its code.
-func (t *Thread) word() *isa.Instruction {
-	if t.IP < 0 || t.IP >= len(t.Seg.Instrs) {
-		return nil
-	}
-	return &t.Seg.Instrs[t.IP]
-}
-
-// wordDone reports whether every operation of the current word has issued.
-func (t *Thread) wordDone() bool {
-	w := t.word()
-	if w == nil {
-		return true
-	}
-	for slot, op := range w.Ops {
-		if op == nil {
-			continue
-		}
-		if slot >= len(t.issued) || !t.issued[slot] {
-			return false
-		}
-	}
-	return true
-}
-
-// resetWord prepares issue bookkeeping for a new current word.
-func (t *Thread) resetWord() {
-	w := t.word()
-	n := 0
-	if w != nil {
-		n = len(w.Ops)
-	}
-	if cap(t.issued) < n {
-		t.issued = make([]bool, n)
-	} else {
-		t.issued = t.issued[:n]
-		for i := range t.issued {
-			t.issued[i] = false
-		}
-	}
-	t.branchTaken = false
-	t.branchTarget = -1
-	t.stalled = false
-}
-
-// advance moves the thread to its next instruction word after the current
-// word has fully issued, following any branch decision recorded for the
-// word. Words containing no operations are skipped. It returns false when
-// the thread has no more words (implicit halt).
-func (t *Thread) advance() bool {
-	for {
-		next := t.IP + 1
-		if t.branchTaken {
-			next = t.branchTarget
-		}
-		t.IP = next
-		t.resetWord()
-		w := t.word()
-		if w == nil {
-			return false
-		}
-		if w.NumOps() > 0 {
-			return true
-		}
-		// Empty word: fall through (it cannot contain a branch).
-	}
+	// win is the thread's issue window: cfg.Dynamic.Window words deep,
+	// or one word — the paper's in-order frontier — when that is 0. It
+	// stays the zero (empty) window for a thread whose code had no
+	// operation to start at.
+	win dynsched.Window
+	// specIssued counts ops issued from speculative entries since the
+	// last commit or squash.
+	specIssued int64
+	// undo records how to revert speculative register writes, in issue
+	// order; applied in reverse on squash.
+	undo []specUndo
 }
 
 // ThreadStats is the per-thread summary reported in a Result.
