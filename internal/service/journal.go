@@ -2,9 +2,12 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -56,38 +59,50 @@ type journal struct {
 	file *os.File
 }
 
+// maxJournalLine bounds one journal record; a longer line (a corrupt
+// tail, say) is skipped like any other unparsable line.
+const maxJournalLine = 16 << 20
+
 // openJournal replays path and reopens it compacted: finished jobs are
 // dropped, and every still-pending job is returned for the caller to
 // resubmit (the caller re-journals what it keeps). A missing file starts
 // an empty journal. Unparsable lines — e.g. a record half-written when
-// the previous process was killed — are skipped, not fatal: the journal
-// must be readable after exactly the crashes it exists to survive.
+// the previous process was killed, or one over maxJournalLine — are
+// skipped, not fatal: the journal must be readable after exactly the
+// crashes it exists to survive.
+//
+// Compaction is crash-safe: the pending jobs' submit records are
+// written unchanged to a temporary file, synced, and renamed over the
+// journal, so a kill at any point leaves either the old journal or the
+// compacted one, never a truncated one. The caller's re-appended
+// submit records supersede the compacted ones, since replay keeps the
+// last submit per ID.
 func openJournal(path string) (*journal, []pendingJob, error) {
 	byID := map[string]*pendingJob{}
+	raw := map[string][]byte{}
 	var order []string
 	if f, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-		for sc.Scan() {
+		err := forEachLine(f, maxJournalLine, func(line []byte) {
 			var rec journalRecord
-			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-				continue
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return
 			}
 			switch rec.Kind {
 			case "submit":
 				if rec.Spec == nil || rec.ID == "" {
-					continue
+					return
 				}
 				if _, seen := byID[rec.ID]; !seen {
 					order = append(order, rec.ID)
 				}
 				byID[rec.ID] = &pendingJob{ID: rec.ID, Spec: *rec.Spec, Tenant: rec.Tenant, Attempts: rec.Attempts}
+				raw[rec.ID] = bytes.Clone(line)
 			case "finish":
 				delete(byID, rec.ID)
 			}
-		}
+		})
 		f.Close()
-		if err := sc.Err(); err != nil {
+		if err != nil {
 			return nil, nil, fmt.Errorf("service: reading journal %s: %w", path, err)
 		}
 	} else if !os.IsNotExist(err) {
@@ -102,11 +117,80 @@ func openJournal(path string) (*journal, []pendingJob, error) {
 	}
 	sort.Slice(pending, func(i, j int) bool { return pending[i].ID < pending[j].ID })
 
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	var compacted []byte
+	for _, p := range pending {
+		compacted = append(compacted, bytes.TrimRight(raw[p.ID], "\n")...)
+		compacted = append(compacted, '\n')
+	}
+	if err := replaceFile(path, compacted); err != nil {
+		return nil, nil, fmt.Errorf("service: compacting journal %s: %w", path, err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &journal{file: f}, pending, nil
+}
+
+// forEachLine calls fn with each line of r (its newline included) of at
+// most limit bytes, skipping longer lines whole without buffering them.
+func forEachLine(r io.Reader, limit int, fn func(line []byte)) error {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var line []byte
+	skip := false
+	for {
+		frag, err := br.ReadSlice('\n')
+		if !skip {
+			if len(line)+len(frag) > limit {
+				skip, line = true, line[:0]
+			} else {
+				line = append(line, frag...)
+			}
+		}
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if !skip && len(line) > 0 {
+			fn(line)
+		}
+		line, skip = line[:0], false
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// replaceFile atomically replaces path with data: it writes a temporary
+// file beside it, syncs it, renames it over path, and syncs the
+// directory so the rename itself survives a crash.
+func replaceFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
 }
 
 // append writes one record as a single NDJSON line.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -166,6 +167,66 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	if len(data) != 0 {
 		t.Errorf("compacted journal not empty: %q", data)
+	}
+}
+
+// TestJournalSkipsOversizedLine: a line longer than maxJournalLine — a
+// zero-filled tail left by a crash, say — is skipped like any other
+// unparsable line, and the records around it still replay.
+func TestJournalSkipsOversizedLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	seedJournal(t, path, func(j *journal) {
+		if err := j.submit("j-000001", cellSpec(), "", 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.file.Write(append(make([]byte, maxJournalLine+1), '\n')); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.submit("j-000002", cellSpec(), "", 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.file.Write(make([]byte, maxJournalLine+(1<<20))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	j, pending, err := openJournal(path)
+	if err != nil {
+		t.Fatalf("journal with an oversized line failed to open: %v", err)
+	}
+	j.Close()
+	if len(pending) != 2 || pending[0].ID != "j-000001" || pending[1].ID != "j-000002" || pending[1].Attempts != 1 {
+		t.Errorf("pending = %+v, want j-000001 and j-000002 (1 attempt)", pending)
+	}
+}
+
+// TestJournalCompactionCrashSafe: compaction keeps every pending job's
+// submit record, so a daemon killed after compaction but before recovery
+// re-journals its jobs finds them all on the next start.
+func TestJournalCompactionCrashSafe(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	seedJournal(t, path, func(j *journal) {
+		j.submit("j-000001", cellSpec(), "alice", 0)
+		j.submit("j-000002", JobSpec{Program: &ProgramSpec{Source: testProgram}}, "", 2)
+		j.submit("j-000003", cellSpec(), "", 0)
+		j.finish("j-000003", JobDone)
+	})
+	j, first, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close() // killed before recovery appends anything
+	j, again, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	a, _ := json.Marshal(first)
+	b, _ := json.Marshal(again)
+	if len(first) != 2 || string(a) != string(b) {
+		t.Errorf("pending after a crash past compaction = %s, want %s", b, a)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("compaction left its temporary file behind (stat: %v)", err)
 	}
 }
 
