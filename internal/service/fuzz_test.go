@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pcoup/internal/compiler"
 	"pcoup/internal/machine"
@@ -97,4 +100,68 @@ func checkNormalize(t *testing.T, spec JobSpec, presets map[string]*machine.Conf
 	if _, _, err := compiler.CompileBounded(context.Background(), p.Source, cfg, p.compilerOptions(), compiler.ServiceLimits()); err != nil {
 		t.Fatalf("Normalize accepted a program the worker cannot compile: %v\nspec: %+v", err, spec)
 	}
+}
+
+// FuzzJournalReplay feeds arbitrary journal bytes through replay
+// (openJournal) and recovery (recoverLocked). Replay never fails on
+// content and never panics, the pending IDs are unique, and every
+// recovered job is either queued or failed with its error recorded. The
+// seeds hold well-formed, duplicated, torn, and corrupted records.
+func FuzzJournalReplay(f *testing.F) {
+	line := func(r journalRecord) []byte {
+		data, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append(data, '\n')
+	}
+	cell := cellSpec()
+	submit := line(journalRecord{Kind: "submit", ID: "j-000001", Spec: &cell})
+	prog := line(journalRecord{Kind: "submit", ID: "j-000002", Spec: &JobSpec{Program: &ProgramSpec{Source: testProgram}}, Attempts: 1})
+	finish := line(journalRecord{Kind: "finish", ID: "j-000001", State: JobDone})
+	stale := line(journalRecord{Kind: "submit", ID: "j-000003", Tenant: "bob", Attempts: 7,
+		Spec: &JobSpec{Cell: &CellSpec{Bench: "fft", Mode: "Coupled"}, Preset: "gone"}})
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	f.Add(submit)
+	f.Add(join(submit, submit, prog, prog))
+	f.Add(join(submit, prog[:len(prog)/2]))
+	f.Add(join(submit, finish, prog, stale))
+	f.Add(join(bytes.Replace(submit, []byte(`"kind"`), []byte(`"kimd"`), 1), prog, []byte{0, 0, 0, '\n'}, stale))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "journal.ndjson")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, pending, err := openJournal(path)
+		if err != nil {
+			t.Fatalf("replay refused a readable journal: %v", err)
+		}
+		defer j.Close()
+		seen := map[string]bool{}
+		for _, p := range pending {
+			if seen[p.ID] {
+				t.Fatalf("job %s pending twice", p.ID)
+			}
+			seen[p.ID] = true
+		}
+		// No worker runs, and an hour of retry backoff holds every
+		// re-interrupted job in enqueueAfter until the context ends.
+		srv := New(Options{QueueCap: len(pending) + 1, RetryBackoff: time.Hour})
+		defer srv.baseCancel()
+		srv.mu.Lock()
+		srv.journal = j
+		for _, p := range pending {
+			srv.recoverLocked(p)
+		}
+		srv.mu.Unlock()
+		for _, p := range pending {
+			job, err := srv.Get(p.ID)
+			if err != nil {
+				t.Fatalf("recovered job %s is missing", p.ID)
+			}
+			if v := job.view(false); v.State != JobQueued && (v.State != JobFailed || v.Error == "") {
+				t.Errorf("recovered job %s is %s (error %q), want queued or failed with an error", p.ID, v.State, v.Error)
+			}
+		}
+	})
 }
