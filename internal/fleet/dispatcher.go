@@ -314,7 +314,7 @@ func (d *dispatcher) stealLocked(url string) bool {
 		thief.depth++
 	}
 	if d.metrics != nil {
-		d.metrics.Stole(len(stolen))
+		d.metrics.steals.Add(int64(len(stolen)))
 	}
 	return true
 }

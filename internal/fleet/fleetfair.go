@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -146,13 +146,15 @@ func fleetFairOne(ctx context.Context, n int, sched string) (*FleetFairRow, erro
 		return nil, err
 	}
 
+	slices.Sort(base)
+	slices.Sort(flooded)
 	return &FleetFairRow{
 		Backends:   n,
 		Sched:      sched,
-		BaseP50MS:  durMS(percentile(base, 0.50)),
-		BaseP99MS:  durMS(percentile(base, 0.99)),
-		FloodP50MS: durMS(percentile(flooded, 0.50)),
-		FloodP99MS: durMS(percentile(flooded, 0.99)),
+		BaseP50MS:  durMS(sortedQuantile(base, 0.50)),
+		BaseP99MS:  durMS(sortedQuantile(base, 0.99)),
+		FloodP50MS: durMS(sortedQuantile(flooded, 0.50)),
+		FloodP99MS: durMS(sortedQuantile(flooded, 0.99)),
 		Steals:     gw.Metrics().Steals(),
 	}, nil
 }
@@ -219,24 +221,6 @@ func fleetFairFlood(ctx context.Context, gw *Gateway, ten *tenant.Tenant, done c
 			<-slots
 		}(job)
 	}
-}
-
-// percentile returns the p-quantile latency by rank (nearest-rank on
-// the sorted sample; p99 of a small sample is its maximum).
-func percentile(lats []time.Duration, p float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

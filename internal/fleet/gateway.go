@@ -339,7 +339,7 @@ func (g *Gateway) SubmitAs(spec service.JobSpec, ten *tenant.Tenant) (*fleetJob,
 	g.order = append(g.order, job)
 	g.wg.Add(1)
 	g.mu.Unlock()
-	g.metrics.JobState(string(service.JobQueued))
+	g.metrics.jobs.Inc(string(service.JobQueued))
 
 	go func() {
 		defer g.wg.Done()
@@ -365,7 +365,7 @@ func (g *Gateway) admit(ten *tenant.Tenant, n int) error {
 			reason = fmt.Sprintf("gateway busy: %d cells queued, batch is shed above %d", total, hw)
 		}
 		if reason != "" {
-			g.metrics.Shed(string(ten.Class()))
+			g.metrics.shed.Inc(string(ten.Class()))
 			return &tenant.QuotaError{
 				Tenant: ten.Name(), Class: ten.Class(),
 				Reason: reason, RetryAfter: 2 * time.Second,
@@ -373,7 +373,7 @@ func (g *Gateway) admit(ten *tenant.Tenant, n int) error {
 		}
 	}
 	if qe := ten.Admit(n); qe != nil {
-		g.metrics.Shed(string(ten.Class()))
+		g.metrics.shed.Inc(string(ten.Class()))
 		return qe
 	}
 	return nil
@@ -472,41 +472,7 @@ func (g *Gateway) Cancel(id string) (*fleetJob, error) {
 		cancel()
 	} else {
 		job.finish(service.JobCancelled, nil, "cancelled before execution")
-		g.metrics.JobState(string(service.JobCancelled))
+		g.metrics.jobs.Inc(string(service.JobCancelled))
 	}
 	return job, nil
-}
-
-// gauges samples the live state for /metrics and /healthz.
-func (g *Gateway) gauges() FleetGauges {
-	g.mu.Lock()
-	byState := map[string]int{}
-	for _, j := range g.order {
-		j.mu.Lock()
-		byState[string(j.state)]++
-		j.mu.Unlock()
-	}
-	accepting := g.accepting
-	g.mu.Unlock()
-	var backends []BackendGauge
-	for _, b := range g.pool.all() {
-		b.mu.Lock()
-		backends = append(backends, BackendGauge{
-			URL: b.URL, Healthy: b.healthy, Inflight: b.inflight,
-			QueueDepth: b.load.QueueDepth, RemoteInflight: b.load.Inflight,
-		})
-		b.mu.Unlock()
-	}
-	var tenants []TenantGauge
-	for _, t := range g.tenants.All() {
-		tenants = append(tenants, TenantGauge{
-			Name: t.Name(), Class: string(t.Class()), Weight: t.Weight(),
-			Queued: t.Queued(), Inflight: t.Inflight(),
-		})
-	}
-	return FleetGauges{
-		Backends: backends, Tenants: tenants,
-		DispatchDepth: g.disp.depths(),
-		JobsByState:   byState, Accepting: accepting,
-	}
 }

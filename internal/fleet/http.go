@@ -270,5 +270,5 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.metrics.WriteText(w, g.gauges())
+	g.writeMetrics(w)
 }

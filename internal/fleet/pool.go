@@ -22,14 +22,13 @@ type Backend struct {
 	// URL is the backend's base URL (also its ring member name).
 	URL string
 
-	mu           sync.Mutex
-	healthy      bool
-	consecFails  int
-	probeBackoff time.Duration // readmission probe backoff while ejected
-	nextProbe    time.Time
-	lastErr      string
-	inflight     int            // gateway dispatches in flight to this backend
-	load         service.Health // last load report from /readyz
+	mu          sync.Mutex
+	healthy     bool
+	consecFails int
+	nextProbe   time.Time
+	lastErr     string
+	inflight    int            // gateway dispatches in flight to this backend
+	load        service.Health // last load report from /readyz
 }
 
 // Healthy reports whether the backend is currently admitted.
@@ -135,7 +134,9 @@ func newPool(opts PoolOptions, m *Metrics) (*Pool, error) {
 		if _, ok := p.backends[url]; ok {
 			return nil, fmt.Errorf("fleet: duplicate backend %s", url)
 		}
-		p.backends[url] = &Backend{URL: url}
+		// Not admitted until a probe passes: a failing first probe
+		// starts the re-admission backoff, as an ejection does.
+		p.backends[url] = &Backend{URL: url, consecFails: opts.EjectAfter - 1}
 		p.ring.add(url)
 	}
 	return p, nil
@@ -197,11 +198,10 @@ func (p *Pool) probe(b *Backend) {
 	defer b.mu.Unlock()
 	if err == nil {
 		if !b.healthy {
-			p.metrics.Readmitted()
+			p.metrics.readmissions.Inc()
 		}
 		b.healthy = true
 		b.consecFails = 0
-		b.probeBackoff = 0
 		b.lastErr = ""
 		b.load = *health
 		b.nextProbe = time.Now().Add(p.opts.ProbeInterval)
@@ -209,26 +209,24 @@ func (p *Pool) probe(b *Backend) {
 	}
 	b.consecFails++
 	b.lastErr = err.Error()
-	p.metrics.ProbeFailed()
+	p.metrics.probeFailures.Inc()
 	if b.healthy && b.consecFails >= p.opts.EjectAfter {
 		b.healthy = false
-		p.metrics.Ejected()
+		p.metrics.ejections.Inc()
 	}
-	if !b.healthy {
-		// Ejected: back the probes off (doubling, capped) so a dead
-		// backend is not hammered while it restarts.
-		if b.probeBackoff == 0 {
-			b.probeBackoff = p.opts.ProbeInterval
-		} else if b.probeBackoff < p.opts.ReadmitMaxBackoff {
-			b.probeBackoff *= 2
-			if b.probeBackoff > p.opts.ReadmitMaxBackoff {
-				b.probeBackoff = p.opts.ReadmitMaxBackoff
-			}
-		}
-		b.nextProbe = time.Now().Add(b.probeBackoff)
-	} else {
-		b.nextProbe = time.Now().Add(p.opts.ProbeInterval)
+	b.nextProbe = time.Now().Add(p.probeWait(b))
+}
+
+// probeWait is the delay before b's next probe. An admitted backend is
+// probed every ProbeInterval. An ejected one backs off, doubling from
+// ProbeInterval up to ReadmitMaxBackoff per failed probe since its
+// ejection, so a dead backend is not hammered while it restarts.
+// Callers hold b.mu.
+func (p *Pool) probeWait(b *Backend) time.Duration {
+	if b.healthy {
+		return p.opts.ProbeInterval
 	}
+	return service.Backoff(p.opts.ProbeInterval, p.opts.ReadmitMaxBackoff, b.consecFails-p.opts.EjectAfter+1)
 }
 
 func (p *Pool) fetchReadyz(base string) (*service.Health, error) {
@@ -264,12 +262,11 @@ func (p *Pool) markDown(b *Backend, err error) {
 	}
 	b.healthy = false
 	b.consecFails = p.opts.EjectAfter
-	b.probeBackoff = p.opts.ProbeInterval
-	b.nextProbe = time.Now().Add(b.probeBackoff)
+	b.nextProbe = time.Now().Add(p.probeWait(b))
 	if err != nil {
 		b.lastErr = err.Error()
 	}
-	p.metrics.Ejected()
+	p.metrics.ejections.Inc()
 }
 
 // all returns every backend in stable (URL-sorted) order.

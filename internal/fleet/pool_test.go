@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 // testPool builds a pool without starting its prober, with every
@@ -86,5 +89,50 @@ func TestPickSkipsUnhealthyAndExcluded(t *testing.T) {
 
 	if _, _, err := p.pick(key, map[string]bool{got.URL: true, got2.URL: true}); err != ErrNoBackends {
 		t.Fatalf("exhausted pool: err=%v, want ErrNoBackends", err)
+	}
+}
+
+// TestReadmitBackoffSchedule pins the probe delays of a backend that
+// keeps failing on each path into ejection: failed probes of an admitted
+// backend, markDown after a dispatch error, and a backend whose very
+// first probe fails. Ejected backends wait ProbeInterval, then double up
+// to ReadmitMaxBackoff.
+func TestReadmitBackoffSchedule(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // probes get connection refused
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		admitted bool
+		markDown bool
+		want     []time.Duration // after markDown (if any), then per failed probe
+	}{
+		{"probe failures", true, false, []time.Duration{500 * ms, 500 * ms, time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second, 8 * time.Second}},
+		{"markDown", true, true, []time.Duration{500 * ms, time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second, 8 * time.Second}},
+		{"never admitted", false, false, []time.Duration{500 * ms, time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second}},
+	} {
+		p, err := newPool(PoolOptions{Backends: []string{dead.URL}, ProbeInterval: 500 * ms, ReadmitMaxBackoff: 8 * time.Second, EjectAfter: 2}, NewMetrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := p.backends[dead.URL]
+		if tc.admitted { // as a passing probe leaves it
+			b.healthy, b.consecFails = true, 0
+		}
+		for i, want := range tc.want {
+			before := time.Now()
+			if tc.markDown && i == 0 {
+				p.markDown(b, nil)
+			} else {
+				p.probe(b)
+			}
+			after := time.Now()
+			b.mu.Lock()
+			next := b.nextProbe
+			b.mu.Unlock()
+			if next.Sub(after) > want || next.Sub(before) < want {
+				t.Errorf("%s: step %d waits in [%v, %v], want %v", tc.name, i, next.Sub(after), next.Sub(before), want)
+			}
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strings"
+	"unicode/utf8"
 
 	"pcoup/internal/machine"
 )
@@ -60,15 +62,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The tenant name is pure attribution (journal, metrics, views) —
-	// authentication happens at the gateway, which sets this header from
-	// the verified API key. Length-cap the client-supplied value so a
-	// hostile direct submitter cannot bloat journal records.
-	tenant := r.Header.Get("X-PC-Tenant")
-	if len(tenant) > 64 {
-		tenant = tenant[:64]
+	s.submitAndRespond(w, spec, tenantHeader(r))
+}
+
+// maxTenantBytes caps the client-supplied X-PC-Tenant value.
+const maxTenantBytes = 64
+
+// tenantHeader reads the submitting tenant's name. The name is pure
+// attribution (journal, metrics, views) — authentication happens at the
+// gateway, which sets this header from the verified API key. The value
+// is cut to maxTenantBytes on a rune boundary, so a hostile direct
+// submitter cannot bloat journal records, and invalid UTF-8 is replaced,
+// so the name is valid text wherever it is written.
+func tenantHeader(r *http.Request) string {
+	t := strings.ToValidUTF8(r.Header.Get("X-PC-Tenant"), "\uFFFD")
+	if len(t) <= maxTenantBytes {
+		return t
 	}
-	s.submitAndRespond(w, spec, tenant)
+	n := maxTenantBytes
+	for !utf8.RuneStart(t[n]) {
+		n--
+	}
+	return t[:n]
 }
 
 // submitAndRespond enqueues spec and writes the submission response:
@@ -119,11 +134,7 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tenant := r.Header.Get("X-PC-Tenant")
-	if len(tenant) > 64 {
-		tenant = tenant[:64]
-	}
-	s.submitAndRespond(w, req.JobSpec(), tenant)
+	s.submitAndRespond(w, req.JobSpec(), tenantHeader(r))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -384,13 +386,10 @@ func (j *Job) view(withResult bool) JobView {
 }
 
 func presetNames(presets map[string]*machine.Config) string {
-	names := sortedKeys(presets)
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
+	names := make([]string, 0, len(presets))
+	for n := range presets {
+		names = append(names, n)
 	}
-	return out
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }

@@ -223,23 +223,19 @@ func (j *journal) Close() error {
 	return j.file.Close()
 }
 
-// retryDelay computes the exponential backoff before re-running a job on
-// its nth attempt (attempts >= 1), capped at maxRetryBackoff.
-func retryDelay(base time.Duration, attempts int) time.Duration {
-	if base <= 0 || attempts <= 1 {
+// Backoff returns the nth delay of a doubling schedule: base, 2·base,
+// 4·base, … capped at max. It is 0 when n <= 0 or base <= 0. The journal
+// spaces retries of a recovered job with it, and the fleet gateway its
+// failover attempts and re-admission probes.
+func Backoff(base, max time.Duration, n int) time.Duration {
+	if n <= 0 || base <= 0 {
 		return 0
 	}
 	d := base
-	for i := 2; i < attempts; i++ {
+	for i := 1; i < n && d < max; i++ {
 		d *= 2
-		if d >= maxRetryBackoff {
-			return maxRetryBackoff
-		}
 	}
-	if d > maxRetryBackoff {
-		d = maxRetryBackoff
-	}
-	return d
+	return min(d, max)
 }
 
 // maxRetryBackoff caps the exponential retry delay.

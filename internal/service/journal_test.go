@@ -230,16 +230,41 @@ func TestJournalCompactionCrashSafe(t *testing.T) {
 	}
 }
 
+// TestRetryDelay pins the three doubling schedules built on Backoff,
+// with the values of the per-caller helpers it replaced: journal retry
+// (RetryBackoff 1s, n = attempts-1), gateway failover (RetryBackoff
+// 200ms, n = the attempt) and pool re-admission probes (ProbeInterval
+// 500ms up to ReadmitMaxBackoff 8s, n = failed probes since ejection).
 func TestRetryDelay(t *testing.T) {
-	base := time.Second
+	const ms = time.Millisecond
 	for _, tc := range []struct {
-		attempts int
-		want     time.Duration
+		caller    string
+		base, max time.Duration
+		n         int
+		want      time.Duration
 	}{
-		{0, 0}, {1, 0}, {2, base}, {3, 2 * base}, {4, 4 * base}, {100, maxRetryBackoff},
+		{"journal", time.Second, maxRetryBackoff, 0 - 1, 0},
+		{"journal", time.Second, maxRetryBackoff, 1 - 1, 0},
+		{"journal", time.Second, maxRetryBackoff, 2 - 1, time.Second},
+		{"journal", time.Second, maxRetryBackoff, 3 - 1, 2 * time.Second},
+		{"journal", time.Second, maxRetryBackoff, 4 - 1, 4 * time.Second},
+		{"journal", time.Second, maxRetryBackoff, 7 - 1, 30 * time.Second},
+		{"journal", time.Second, maxRetryBackoff, 100 - 1, 30 * time.Second},
+		{"journal", 0, maxRetryBackoff, 3, 0},
+		{"failover", 200 * ms, 30 * time.Second, 1, 200 * ms},
+		{"failover", 200 * ms, 30 * time.Second, 2, 400 * ms},
+		{"failover", 200 * ms, 30 * time.Second, 4, 1600 * ms},
+		{"failover", 200 * ms, 30 * time.Second, 8, 25600 * ms},
+		{"failover", 200 * ms, 30 * time.Second, 9, 30 * time.Second},
+		{"failover", 200 * ms, 30 * time.Second, 100, 30 * time.Second},
+		{"probe", 500 * ms, 8 * time.Second, 1, 500 * ms},
+		{"probe", 500 * ms, 8 * time.Second, 2, time.Second},
+		{"probe", 500 * ms, 8 * time.Second, 4, 4 * time.Second},
+		{"probe", 500 * ms, 8 * time.Second, 5, 8 * time.Second},
+		{"probe", 500 * ms, 8 * time.Second, 6, 8 * time.Second},
 	} {
-		if got := retryDelay(base, tc.attempts); got != tc.want {
-			t.Errorf("retryDelay(%v, %d) = %v, want %v", base, tc.attempts, got, tc.want)
+		if got := Backoff(tc.base, tc.max, tc.n); got != tc.want {
+			t.Errorf("%s: Backoff(%v, %v, %d) = %v, want %v", tc.caller, tc.base, tc.max, tc.n, got, tc.want)
 		}
 	}
 }

@@ -202,15 +202,15 @@ func (s *Server) recoverLocked(p pendingJob) {
 	if n := jobIDNumber(p.ID); n > s.nextID {
 		s.nextID = n
 	}
-	s.metrics.JournalRecovered()
-	s.metrics.JobState(string(JobQueued))
+	s.metrics.journalRecovered.Inc()
+	s.metrics.jobs.Inc(string(JobQueued))
 	switch {
 	case specErr != nil:
 		// The spec no longer validates (e.g. a preset directory changed
 		// across the restart): surface the error on the job itself.
 		s.finishJob(job, JobFailed, nil, specErr.Error())
 	case attempts > s.opts.RetryBudget:
-		s.metrics.RetryBudgetExhausted()
+		s.metrics.retriesExhausted.Inc()
 		s.finishJob(job, JobFailed, nil,
 			fmt.Sprintf("retry budget exhausted: interrupted %d times (budget %d)", p.Attempts, s.opts.RetryBudget))
 	default:
@@ -218,7 +218,7 @@ func (s *Server) recoverLocked(p pendingJob) {
 			s.finishJob(job, JobFailed, nil, fmt.Sprintf("journal: %v", err))
 			return
 		}
-		go s.enqueueAfter(job, retryDelay(s.opts.RetryBackoff, attempts))
+		go s.enqueueAfter(job, Backoff(s.opts.RetryBackoff, maxRetryBackoff, attempts-1))
 	}
 }
 
@@ -339,7 +339,7 @@ func (s *Server) SubmitWithTenant(spec JobSpec, tenant string) (*Job, error) {
 	}
 	s.jobs[job.id] = job
 	s.order = append(s.order, job)
-	s.metrics.JobState(string(JobQueued))
+	s.metrics.jobs.Inc(string(JobQueued))
 	s.metrics.TenantJob(tenant)
 	return job, nil
 }
@@ -403,7 +403,7 @@ func (s *Server) finishJob(job *Job, state JobState, result json.RawMessage, err
 	}
 	job.mu.Unlock()
 	job.finish(state, result, errMsg, time.Now())
-	s.metrics.JobState(string(state))
+	s.metrics.jobs.Inc(string(state))
 	if s.journal != nil {
 		s.journal.finish(job.id, state)
 	}
@@ -451,15 +451,15 @@ func (s *Server) runJob(job *Job) {
 	job.mu.Unlock()
 	defer cancel()
 
-	s.metrics.JobState(string(JobRunning))
-	s.metrics.Observe("queue", queueWait.Seconds())
+	s.metrics.jobs.Inc(string(JobRunning))
+	s.metrics.stages.Observe("queue", queueWait.Seconds())
 	if alreadyCancelled {
 		cancel()
 	}
 
 	payload, err := s.executeSafe(ctx, job)
 	runDur := time.Since(job.started)
-	s.metrics.Observe("run", runDur.Seconds())
+	s.metrics.stages.Observe("run", runDur.Seconds())
 
 	switch {
 	case err == nil:
@@ -494,7 +494,7 @@ func isBudgetExceeded(err error) bool {
 func (s *Server) executeSafe(ctx context.Context, job *Job) (payload json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.Panic()
+			s.metrics.panics.Inc()
 			log.Printf("service: job %s: recovered panic: %v\n%s", job.id, r, debug.Stack())
 			err = fmt.Errorf("internal error: panic during execution: %v", r)
 			payload = nil
