@@ -9,9 +9,11 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"pcoup/internal/machine"
 	"pcoup/internal/service"
 	"pcoup/internal/tenant"
 )
@@ -198,10 +200,9 @@ func TestPeerFillServesWarmCacheAcrossRing(t *testing.T) {
 	}
 }
 
-// slowProxy fronts a backend with a fixed per-request delay on the job
-// API (probes stay fast), making the backend a straggler so its queue
-// backs up and the other backend steals.
-func slowProxy(t *testing.T, target string, delay time.Duration) string {
+// gateProxy fronts a backend and calls wait before forwarding each
+// job-API request; probes pass straight through.
+func gateProxy(t *testing.T, target string, wait func()) string {
 	t.Helper()
 	u, err := url.Parse(target)
 	if err != nil {
@@ -210,7 +211,7 @@ func slowProxy(t *testing.T, target string, delay time.Duration) string {
 	rp := httputil.NewSingleHostReverseProxy(u)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/v1/") {
-			time.Sleep(delay)
+			wait()
 		}
 		rp.ServeHTTP(w, r)
 	}))
@@ -218,25 +219,92 @@ func slowProxy(t *testing.T, target string, delay time.Duration) string {
 	return ts.URL
 }
 
+// slowProxy fronts a backend with a fixed per-request delay on the job
+// API, making the backend a straggler so its queue backs up.
+func slowProxy(t *testing.T, target string, delay time.Duration) string {
+	return gateProxy(t, target, func() { time.Sleep(delay) })
+}
+
+// holdTimeout bounds how long holdProxy holds a request when its
+// release condition never comes true.
+const holdTimeout = 30 * time.Second
+
+// holdProxy fronts a backend and holds every job-API request until
+// release reports true, making the backend a straggler whose queue
+// backs up for as long as the condition takes, however fast the host.
+// A request still held after holdTimeout goes through and sets the
+// returned flag, so the test can fail instead of hanging.
+func holdProxy(t *testing.T, target string, release func() bool) (string, *atomic.Bool) {
+	timedOut := new(atomic.Bool)
+	return gateProxy(t, target, func() {
+		deadline := time.Now().Add(holdTimeout)
+		for !release() {
+			if time.Now().After(deadline) {
+				timedOut.Store(true)
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}), timedOut
+}
+
 // TestStealPreservesByteIdenticalStream: with one straggling backend,
 // the fast backend steals from the straggler's queue tail; the merged
-// stream must still be byte-identical to a single-backend run.
+// stream must still be byte-identical to a single-backend run. The
+// straggler is the backend that owns most of the sweep's cells (the
+// ring placement follows the test servers' random ports), so its queue
+// holds at least two cells behind the one in flight, the least a steal
+// takes; and it answers nothing until the gateway has counted a steal,
+// so the steal does not depend on how long a cell takes to simulate.
 func TestStealPreservesByteIdenticalStream(t *testing.T) {
 	refURL, _, _ := startBackend(t, service.Options{})
-	urlA, _, _ := startBackend(t, service.Options{})
-	urlB, _, _ := startBackend(t, service.Options{})
-	slowA := slowProxy(t, urlA, 400*time.Millisecond)
+	var gwp atomic.Pointer[Gateway]
+	var straggler atomic.Int32 // index of the held backend's proxy
+	straggler.Store(-1)
+	var proxies [2]string
+	var timedOut [2]*atomic.Bool
+	for i := range proxies {
+		backend, _, _ := startBackend(t, service.Options{})
+		proxies[i], timedOut[i] = holdProxy(t, backend, func() bool {
+			return straggler.Load() != int32(i) || gwp.Load().Metrics().Steals() > 0
+		})
+	}
 
 	// One worker per backend: the straggler's cells sit in its queue
 	// (stealable) instead of being scattered into in-flight requests.
 	// Peer-fill is off so the fast backend's cells don't ride probe
-	// round-trips through the slow proxy.
-	gw, gwTS := startGateway(t, []string{slowA, urlB}, func(o *Options) {
+	// round-trips through the held proxy.
+	gw, gwTS := startGateway(t, proxies[:], func(o *Options) {
 		o.BackendConcurrency = 1
 		o.NoPeerFill = true
 	})
+	gwp.Store(gw)
 
 	spec := service.JobSpec{Sweep: &service.SweepSpec{Benches: []string{"lud"}, MinIU: 1, MaxIU: 5}}
+	norm := spec
+	norm.Sweep = &service.SweepSpec{}
+	*norm.Sweep = *spec.Sweep
+	if _, err := norm.Normalize(map[string]*machine.Config{"baseline": machine.Baseline()}); err != nil {
+		t.Fatal(err)
+	}
+	cells := norm.Sweep.Cells()
+	owned := map[string]int{}
+	for _, c := range cells {
+		key, err := service.SweepCellContentKey(c, norm.Sweep.Mode, norm.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned[gw.pool.ownerURL(key)]++
+	}
+	slow := 0
+	if owned[proxies[1]] > owned[proxies[0]] {
+		slow = 1
+	}
+	if owned[proxies[slow]] < 3 {
+		t.Fatalf("cell owners %v: no backend owns 3 of the %d cells", owned, len(cells))
+	}
+	straggler.Store(int32(slow))
+
 	ref := waitJob(t, refURL, submitJob(t, refURL, spec).ID)
 	if ref.State != service.JobDone {
 		t.Fatalf("reference sweep: %s (%s)", ref.State, ref.Error)
@@ -246,8 +314,8 @@ func TestStealPreservesByteIdenticalStream(t *testing.T) {
 	if got.State != service.JobDone {
 		t.Fatalf("fleet sweep: %s (%s)", got.State, got.Error)
 	}
-	if n := gw.Metrics().Steals(); n == 0 {
-		t.Fatal("fast backend never stole from the straggler's queue")
+	if n := gw.Metrics().Steals(); n == 0 || timedOut[0].Load() || timedOut[1].Load() {
+		t.Fatalf("fast backend stole %d cells; a request was held past %v", n, holdTimeout)
 	}
 	if !bytes.Equal(streamBytes(t, gwTS.URL, got.ID), streamBytes(t, refURL, ref.ID)) {
 		t.Fatal("stolen-cell stream differs from single-backend stream")
