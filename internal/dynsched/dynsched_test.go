@@ -212,7 +212,7 @@ func TestWindowExtendStopsAtUnresolvedBranch(t *testing.T) {
 		[]*isa.Op{add()},
 	)
 	var w Window
-	w.Init(Decode(code), 4, 2, 0)
+	w.Init(Decode(code), 4, 0)
 	w.Fetch(0, false)
 	w.Extend(nil)
 	// No predictor: fetch stops after the branch word.
@@ -225,7 +225,7 @@ func TestWindowExtendStopsAtUnresolvedBranch(t *testing.T) {
 	// With a taken predictor the fetch continues speculatively at the
 	// target, and everything past the branch is marked Spec.
 	var w2 Window
-	w2.Init(Decode(code), 4, 2, 0)
+	w2.Init(Decode(code), 4, 0)
 	w2.Fetch(0, false)
 	w2.Extend(constPred(true))
 	if len(w2.Entries) != 4 {
@@ -255,7 +255,7 @@ func TestWindowRetireAndSquash(t *testing.T) {
 		[]*isa.Op{add()},
 	)
 	var w Window
-	w.Init(Decode(code), 4, 2, 0)
+	w.Init(Decode(code), 4, 0)
 	w.Fetch(0, false)
 	w.Extend(constPred(true))
 	// Issue word 0's single op and retire it.
@@ -303,7 +303,7 @@ func TestWindowBarriers(t *testing.T) {
 		[]*isa.Op{add()},
 	)
 	var w Window
-	w.Init(Decode(code), 4, 2, 0)
+	w.Init(Decode(code), 4, 0)
 	w.Fetch(0, false)
 	w.Extend(nil)
 	if len(w.Entries) != 1 {
@@ -314,10 +314,81 @@ func TestWindowBarriers(t *testing.T) {
 	}
 	halt := seg([]*isa.Op{{Code: isa.OpHalt}})
 	var wh Window
-	wh.Init(Decode(halt), 4, 1, 0)
+	wh.Init(Decode(halt), 4, 0)
 	wh.Fetch(0, false)
 	wh.Extend(nil)
 	if len(wh.Entries) != 1 || wh.Entries[0].NextIP != IPEnd {
 		t.Error("halt word should end the fetch path")
+	}
+}
+
+// TestUnissuedMask: Decode's Mask has a bit for exactly the non-nil ops
+// of each word, Issue clears exactly the issued slot's bit, and both a
+// refill in place (RetireHead of a one-entry window) and a fresh fetch
+// start from the full mask again.
+func TestUnissuedMask(t *testing.T) {
+	code := seg(
+		[]*isa.Op{add(), nil, add()},
+		[]*isa.Op{nil, add()},
+		[]*isa.Op{nil, nil},
+		[]*isa.Op{add(), add(), bt(0)},
+	)
+	sh := Decode(code)
+	for ip, w := range code.Instrs {
+		var want uint64
+		for slot, op := range w.Ops {
+			if op != nil {
+				want |= 1 << slot
+			}
+		}
+		if sh[ip].Mask != want {
+			t.Errorf("word %d: Mask = %b, want %b", ip, sh[ip].Mask, want)
+		}
+	}
+	if got := sh.EffIP(2); got != 3 {
+		t.Errorf("EffIP(2) = %d, want 3 (word 2 is empty)", got)
+	}
+
+	var w Window
+	w.Init(sh, 1, 0)
+	e := w.Fetch(0, false)
+	if e.Unissued != sh[0].Mask {
+		t.Fatalf("fetched Unissued = %b, want %b", e.Unissued, sh[0].Mask)
+	}
+	e.Issue(2)
+	if e.Unissued != 0b001 {
+		t.Fatalf("after Issue(2): Unissued = %b, want 001", e.Unissued)
+	}
+	if w.HeadDone() {
+		t.Fatal("head done with slot 0 unissued")
+	}
+	e.Issue(0)
+	if !w.HeadDone() {
+		t.Fatal("head not done with every op issued")
+	}
+	// A one-entry window refills its entry in place with the successor.
+	if w.RetireHead() {
+		t.Fatal("retire reported halt with a successor word")
+	}
+	if h := w.Head(); h != e || h.IP != 1 || h.Unissued != sh[1].Mask {
+		t.Fatalf("refilled head: ip %d Unissued %b, want ip 1 Unissued %b", h.IP, h.Unissued, sh[1].Mask)
+	}
+
+	// A deeper window recycles retired entries through Fetch.
+	var d Window
+	d.Init(sh, 2, 0)
+	d.Fetch(0, false)
+	d.Extend(nil)
+	if len(d.Entries) != 2 || d.Entries[1].IP != 1 {
+		t.Fatalf("window holds %d entries, want words 0 and 1", len(d.Entries))
+	}
+	d.Entries[0].Issue(0)
+	d.Entries[0].Issue(2)
+	if d.RetireHead() {
+		t.Fatal("retire reported halt with an entry left")
+	}
+	d.Extend(nil)
+	if len(d.Entries) != 2 || d.Entries[1].IP != 3 || d.Entries[1].Unissued != sh[3].Mask {
+		t.Fatalf("refetched entry: %+v, want word 3 with Unissued %b", d.Entries[len(d.Entries)-1], sh[3].Mask)
 	}
 }

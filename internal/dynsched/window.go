@@ -1,6 +1,14 @@
 package dynsched
 
-import "pcoup/internal/isa"
+import (
+	"fmt"
+
+	"pcoup/internal/isa"
+)
+
+// MaxSlots bounds the unit slots of a decoded word: a word's operations
+// are tracked as bits of one uint64.
+const MaxSlots = 64
 
 // Sentinel successor IPs for window entries.
 const (
@@ -18,7 +26,7 @@ const (
 // them, so fetching a word copies its shape instead of re-decoding it.
 type Shape struct {
 	Ops      []*isa.Op // the word's operations, by unit slot (nil = empty slot)
-	NumOps   int       // non-nil operations (empty words are skipped)
+	Mask     uint64    // bit slot set for every non-nil op (0: empty word, skipped)
 	BrSlot   int       // slot of the word's conditional branch, -1 if none
 	Barrier  bool      // word forks, halts, or has ambiguous control: no lookahead past it
 	Resolved bool      // successor known at fetch
@@ -29,12 +37,21 @@ type Shape struct {
 // Shapes is a segment's decoded words, indexed by IP.
 type Shapes []Shape
 
-// Decode decodes the control shape of every word of seg.
+// Decode decodes the control shape of every word of seg. Every op must
+// sit below slot MaxSlots, as on any validated machine.
 func Decode(seg *isa.ThreadCode) Shapes {
 	sh := make(Shapes, len(seg.Instrs))
 	for ip := range seg.Instrs {
 		sh[ip].Ops = seg.Instrs[ip].Ops
-		sh[ip].NumOps = seg.Instrs[ip].NumOps()
+		for slot, op := range sh[ip].Ops {
+			if op == nil {
+				continue
+			}
+			if slot >= MaxSlots {
+				panic(fmt.Sprintf("dynsched: %s word %d: op in slot %d (max %d slots)", seg.Name, ip, slot, MaxSlots))
+			}
+			sh[ip].Mask |= 1 << slot
+		}
 	}
 	// Successors skip empty words, so control decodes once every word's
 	// op count is known.
@@ -85,7 +102,7 @@ func Decode(seg *isa.ThreadCode) Shapes {
 // IPEnd means execution runs off the segment.
 func (sh Shapes) EffIP(from int) int {
 	for ip := from; ip < len(sh); ip++ {
-		if sh[ip].NumOps > 0 {
+		if sh[ip].Mask != 0 {
 			return ip
 		}
 	}
@@ -97,11 +114,10 @@ func (sh Shapes) EffIP(from int) int {
 type Entry struct {
 	IP  int
 	Ops []*isa.Op // the word's operations, by unit slot
-	// Issued marks the operations already issued, by slot.
-	Issued []bool
-	// Pending counts the word's unissued operations; the head retires
-	// when it reaches zero.
-	Pending int
+	// Unissued has bit slot set for every operation not yet issued; the
+	// head retires when it reaches zero. Scans walk its set bits instead
+	// of every slot of the word.
+	Unissued uint64
 	// Taken is the slot of the word's last taken control op, -1 if none:
 	// a later not-taken branch of the same word keeps that successor.
 	Taken     int
@@ -117,8 +133,7 @@ type Entry struct {
 
 // Issue marks slot issued.
 func (e *Entry) Issue(slot int) {
-	e.Issued[slot] = true
-	e.Pending--
+	e.Unissued &^= 1 << slot
 }
 
 // Window is a per-thread lookahead buffer of up to cap instruction
@@ -132,23 +147,22 @@ func (e *Entry) Issue(slot int) {
 type Window struct {
 	Entries []*Entry
 	// A one-word window keeps its entry and both lists inline, so it
-	// costs no allocation beyond its owner's and its Issued bitmap (and
-	// its head sits beside the list the issue scan reads first).
+	// costs no allocation beyond its owner's (and its head sits beside
+	// the list the issue scan reads first).
 	one    [1]Entry
 	onePtr [2]*Entry
-	// free holds the entries not in the window, recycled with their
-	// Issued bitmaps, so a window allocates nothing after Init.
+	// free holds the entries not in the window, recycled, so a window
+	// allocates nothing after Init.
 	free   []*Entry
 	shapes Shapes
 	pcBase uint64
 	cap    int
 }
 
-// Init empties w and sizes it to capWords words of at most slots
-// operations each (the machine's unit count) over a segment's decoded
-// shapes. pcBase disambiguates branch PCs across segments (the
+// Init empties w and sizes it to capWords words over a segment's
+// decoded shapes. pcBase disambiguates branch PCs across segments (the
 // simulator passes segIdx<<20).
-func (w *Window) Init(shapes Shapes, capWords, slots int, pcBase uint64) {
+func (w *Window) Init(shapes Shapes, capWords int, pcBase uint64) {
 	capWords = max(capWords, 1)
 	*w = Window{shapes: shapes, pcBase: pcBase, cap: capWords}
 	entries, ptrs := w.one[:], w.onePtr[:]
@@ -158,10 +172,7 @@ func (w *Window) Init(shapes Shapes, capWords, slots int, pcBase uint64) {
 	}
 	w.Entries = ptrs[:0:capWords]
 	w.free = ptrs[capWords:capWords]
-	// Every entry's Issued bitmap is cut from one array.
-	issued := make([]bool, capWords*slots)
 	for i := range entries {
-		entries[i].Issued = issued[i*slots : i*slots : (i+1)*slots]
 		w.free = append(w.free, &entries[i])
 	}
 }
@@ -196,13 +207,7 @@ func (w *Window) Fetch(ip int, spec bool) *Entry {
 // refill rebuilds e as a fresh entry for word ip.
 func (w *Window) refill(e *Entry, ip int, spec bool) *Entry {
 	sh := &w.shapes[ip]
-	if cap(e.Issued) < len(sh.Ops) {
-		e.Issued = make([]bool, len(sh.Ops))
-	} else {
-		e.Issued = e.Issued[:len(sh.Ops)]
-		clear(e.Issued)
-	}
-	e.IP, e.Ops, e.Pending, e.Taken = ip, sh.Ops, sh.NumOps, -1
+	e.IP, e.Ops, e.Unissued, e.Taken = ip, sh.Ops, sh.Mask, -1
 	e.Spec, e.Resolved, e.Predicted, e.PredTaken = spec, sh.Resolved, false, false
 	e.BrSlot, e.Barrier, e.NextIP, e.Target = sh.BrSlot, sh.Barrier, sh.NextIP, sh.Target
 	return e
@@ -257,7 +262,7 @@ func (w *Window) Extend(pred Predictor) bool {
 
 // HeadDone reports whether every operation of the head word has issued.
 func (w *Window) HeadDone() bool {
-	return len(w.Entries) > 0 && w.Entries[0].Pending == 0
+	return len(w.Entries) > 0 && w.Entries[0].Unissued == 0
 }
 
 // RetireHead pops the fully-issued head (the caller checks HeadDone;

@@ -43,6 +43,11 @@ func compileOn(tb testing.TB, cfg *machine.Config, benchName string, kind bench.
 // runOnce builds a Sim, runs it to completion, and recycles its memory
 // image — the exact per-cell work of a sweep with a warm program cache.
 func runOnce(tb testing.TB, cfg *machine.Config, prog *isa.Program, opts ...sim.Option) int64 {
+	return runResult(tb, cfg, prog, opts...).Cycles
+}
+
+// runResult runs one cell to completion and returns its result.
+func runResult(tb testing.TB, cfg *machine.Config, prog *isa.Program, opts ...sim.Option) *sim.Result {
 	s, err := sim.New(cfg, prog, opts...)
 	if err != nil {
 		tb.Fatal(err)
@@ -52,7 +57,7 @@ func runOnce(tb testing.TB, cfg *machine.Config, prog *isa.Program, opts ...sim.
 		tb.Fatal(err)
 	}
 	s.Release()
-	return res.Cycles
+	return res
 }
 
 // BenchmarkSimulator measures the cycle kernel on matrix under Coupled

@@ -205,13 +205,39 @@ func (s *Sim) snapshotThread(t *Thread) threadState {
 		Stalls: cloneBreakdown(t.stalls),
 	}
 	if e := t.win.Head(); e != nil {
-		ts.Issued = append([]bool(nil), e.Issued...)
+		ts.Issued = issuedSlots(e)
 		if e.Taken >= 0 && s.winCap == 1 {
 			ts.BranchTaken = true
 			ts.BranchTarget = e.Ops[e.Taken].Target
 		}
 	}
 	return ts
+}
+
+// issuedSlots expands e's unissued mask into the checkpoint's per-slot
+// issued flags (false for empty slots).
+func issuedSlots(e *dynsched.Entry) []bool {
+	issued := make([]bool, len(e.Ops))
+	for slot, op := range e.Ops {
+		issued[slot] = op != nil && e.Unissued&(1<<slot) == 0
+	}
+	return issued
+}
+
+// markIssued clears the unissued bits of a freshly fetched entry e for
+// the slots a checkpoint records as issued. An issued empty slot is a
+// state no run reaches, and is rejected.
+func markIssued(e *dynsched.Entry, issued []bool) error {
+	for slot, done := range issued {
+		if !done {
+			continue
+		}
+		if e.Ops[slot] == nil {
+			return fmt.Errorf("sim: checkpoint marks empty slot %d of word %d issued", slot, e.IP)
+		}
+		e.Issue(slot)
+	}
+	return nil
 }
 
 func cloneBreakdown(b *StallBreakdown) *StallBreakdown {
@@ -317,7 +343,7 @@ func snapshotDynThread(t *Thread) dynThreadState {
 	}
 	for _, e := range t.win.Entries {
 		ds.Entries = append(ds.Entries, dynEntryState{
-			IP: e.IP, Issued: append([]bool(nil), e.Issued...),
+			IP: e.IP, Issued: issuedSlots(e),
 			Spec: e.Spec, Resolved: e.Resolved,
 			Predicted: e.Predicted, PredTaken: e.PredTaken,
 			BrSlot: e.BrSlot, Barrier: e.Barrier,
@@ -360,9 +386,23 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		return fmt.Errorf("sim: checkpoint cycle %d (last progress %d) out of range", ck.Cycle, ck.LastProgress)
 	}
 	// Thread IDs are dense spawn-order indices: one record per ID below
-	// next_tid, which therefore equals the record count.
+	// next_tid, which therefore equals the record count. Records come in
+	// ID order, each thread's priority is its ID, and this cycle's
+	// spawns are the newest IDs, as every run produces them; anything
+	// else could not rebuild s.live in arbitration order.
 	if ck.NextTID != len(ck.Threads) {
 		return fmt.Errorf("sim: checkpoint next_tid %d, but %d thread records", ck.NextTID, len(ck.Threads))
+	}
+	for i, ts := range ck.Threads {
+		if ts.ID != i || ts.Priority != ts.ID {
+			return fmt.Errorf("sim: checkpoint thread record %d has ID %d, priority %d (want ID and priority %d)", i, ts.ID, ts.Priority, i)
+		}
+	}
+	firstPending := ck.NextTID - len(ck.PendingSpawns)
+	for i, id := range ck.PendingSpawns {
+		if id != firstPending+i {
+			return fmt.Errorf("sim: checkpoint pending spawns %v are not the newest thread IDs", ck.PendingSpawns)
+		}
 	}
 	if len(ck.OpCaches) != len(s.opCaches) {
 		return fmt.Errorf("sim: checkpoint has %d op caches, machine has %d", len(ck.OpCaches), len(s.opCaches))
@@ -384,17 +424,11 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		}
 	}
 
-	pending := make(map[int]bool, len(ck.PendingSpawns))
-	for _, id := range ck.PendingSpawns {
-		pending[id] = true
-	}
 	s.threads = nil
+	s.live = nil
 	s.pendingSpawns = nil
 	s.byID = make([]*Thread, ck.NextTID)
 	for _, ts := range ck.Threads {
-		if ts.ID < 0 || ts.ID >= ck.NextTID || s.byID[ts.ID] != nil {
-			return fmt.Errorf("sim: checkpoint thread ID %d duplicated or outside next_tid %d", ts.ID, ck.NextTID)
-		}
 		if ts.SegIdx < 0 || ts.SegIdx >= len(s.prog.Segments) {
 			return fmt.Errorf("sim: checkpoint thread %d has segment %d out of range", ts.ID, ts.SegIdx)
 		}
@@ -420,10 +454,13 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 			}
 		}
 		s.byID[t.ID] = t
-		if pending[t.ID] {
+		if t.ID >= firstPending {
 			s.pendingSpawns = append(s.pendingSpawns, t)
-		} else {
-			s.threads = append(s.threads, t)
+			continue
+		}
+		s.threads = append(s.threads, t)
+		if !t.Halted {
+			s.live = append(s.live, t)
 		}
 	}
 
@@ -515,20 +552,21 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 // issued branches fixed. A thread whose IP names no word has none.
 func (s *Sim) restoreHead(t *Thread, ts threadState) error {
 	sh := s.segShapes(t.SegIdx)
-	if ts.IP < 0 || ts.IP >= len(sh) || sh[ts.IP].NumOps == 0 {
+	if ts.IP < 0 || ts.IP >= len(sh) || sh[ts.IP].Mask == 0 {
 		return nil
 	}
 	if len(ts.Issued) != len(sh[ts.IP].Ops) {
 		return fmt.Errorf("sim: checkpoint thread %d has %d issue slots, word %d has %d", t.ID, len(ts.Issued), ts.IP, len(sh[ts.IP].Ops))
 	}
-	t.win.Init(sh, 1, len(s.units), uint64(t.SegIdx)<<20)
+	t.win.Init(sh, 1, uint64(t.SegIdx)<<20)
 	e := t.win.Fetch(ts.IP, false)
-	copy(e.Issued, ts.Issued)
+	if err := markIssued(e, ts.Issued); err != nil {
+		return fmt.Errorf("%w (thread %d)", err, t.ID)
+	}
 	for slot, op := range e.Ops {
-		if op == nil || !e.Issued[slot] {
+		if op == nil || !ts.Issued[slot] {
 			continue
 		}
-		e.Pending--
 		if !op.IsBranch() {
 			continue
 		}
@@ -558,7 +596,7 @@ func (s *Sim) restoreWindow(dts dynThreadState) error {
 	}
 	sh := s.segShapes(t.SegIdx)
 	win := &t.win
-	win.Init(sh, s.winCap, len(s.units), uint64(t.SegIdx)<<20)
+	win.Init(sh, s.winCap, uint64(t.SegIdx)<<20)
 	for _, es := range dts.Entries {
 		if n := len(sh); es.IP < 0 || es.IP >= n || es.NextIP < dynsched.IPUnknown || es.NextIP >= n || es.Target < dynsched.IPEnd || es.Target >= n {
 			return fmt.Errorf("sim: checkpoint thread %d window entry ip %d (next %d, target %d) out of range", dts.Thread, es.IP, es.NextIP, es.Target)
@@ -568,16 +606,17 @@ func (s *Sim) restoreWindow(dts dynThreadState) error {
 				dts.Thread, es.IP, len(es.Issued), len(sh[es.IP].Ops))
 		}
 		e := win.Fetch(es.IP, es.Spec)
-		copy(e.Issued, es.Issued)
+		if err := markIssued(e, es.Issued); err != nil {
+			return fmt.Errorf("%w (thread %d)", err, dts.Thread)
+		}
 		e.Resolved, e.Predicted, e.PredTaken = es.Resolved, es.Predicted, es.PredTaken
 		e.BrSlot, e.Barrier, e.NextIP, e.Target = es.BrSlot, es.Barrier, es.NextIP, es.Target
 		// Taken is not recorded: any issued control op whose target is
 		// the resolved successor reproduces every later resolution.
 		for slot, op := range e.Ops {
-			if op == nil || !e.Issued[slot] {
+			if op == nil || !es.Issued[slot] {
 				continue
 			}
-			e.Pending--
 			if op.IsBranch() && es.Resolved && sh.EffIP(op.Target) == es.NextIP {
 				e.Taken = slot
 			}

@@ -114,7 +114,7 @@ func (s *Sim) skipBudget(stallLimit, maxCycles int64) int64 {
 	// that cycle must execute. Within the jump every skipped cycle stays
 	// suppressed, keeping the per-cycle classification constant.
 	if s.dyn != nil {
-		for _, t := range s.threads {
+		for _, t := range s.live {
 			if b := t.squashUntil - s.cycle; !t.Halted && b >= 0 && b < k {
 				k = b
 			}

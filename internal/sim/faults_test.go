@@ -237,18 +237,48 @@ func TestAddressFaultTyped(t *testing.T) {
 	}
 }
 
+// ludMachine is the lud Coupled cell's machine on Min memory under the
+// given arbitration.
+func ludMachine(arb machine.ArbitrationKind) func() *machine.Config {
+	return func() *machine.Config {
+		cfg := machine.Baseline()
+		cfg.Arbitration = arb
+		return cfg
+	}
+}
+
+// haltedThreads counts the checkpoint's halted thread records.
+func haltedThreads(ck *Checkpoint) int {
+	n := 0
+	for _, ts := range ck.Threads {
+		if ts.Halted {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCheckpointResumeByteIdentical(t *testing.T) {
+	pp := func(*testing.T, *machine.Config) *isa.Program { return pingPong(30) }
+	lud := func(t *testing.T, cfg *machine.Config) *isa.Program { return compileBench(t, "lud", cfg) }
 	for _, tc := range []struct {
 		name string
 		cfg  func() *machine.Config
+		prog func(*testing.T, *machine.Config) *isa.Program
 		opts []Option
+		// minHalted is how many threads must have halted at the
+		// resumed checkpoint: the lud cases resume across thread churn,
+		// with the live-thread list far shorter than the spawned list.
+		minHalted int
 	}{
-		{"healthy", miniMachine, nil},
-		{"healthy-attrib", miniMachine, []Option{WithStallAttribution()}},
-		{"faulty", faultyMachine, []Option{WithWatchdog(8, 1<<20)}},
+		{"healthy", miniMachine, pp, nil, 0},
+		{"healthy-attrib", miniMachine, pp, []Option{WithStallAttribution()}, 0},
+		{"faulty", faultyMachine, pp, []Option{WithWatchdog(8, 1<<20)}, 0},
+		{"lud-priority", ludMachine(machine.PriorityArbitration), lud, nil, 100},
+		{"lud-roundrobin", ludMachine(machine.RoundRobinArbitration), lud, nil, 100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := pingPong(30)
+			p := tc.prog(t, tc.cfg())
 
 			// Uninterrupted reference run.
 			ref, err := New(tc.cfg(), p, tc.opts...)
@@ -281,6 +311,9 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				t.Fatal("no checkpoints captured")
 			}
 			mid := cks[len(cks)/2]
+			if n := haltedThreads(mid); n < tc.minHalted {
+				t.Fatalf("checkpoint at cycle %d has %d halted threads, want >= %d", mid.Cycle, n, tc.minHalted)
+			}
 
 			// Round-trip the checkpoint through JSON (the wire format).
 			data, err := json.Marshal(mid)
@@ -309,6 +342,86 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				t.Fatalf("resumed run differs from uninterrupted run:\nwant %s\ngot  %s", jw, jg)
 			}
 		})
+	}
+}
+
+// TestRestoreRejectsUnreachableStates: Restore returns an error, never
+// a panic, for checkpoint states no run produces — a thread whose
+// priority is not its ID, thread records out of ID order, pending
+// spawns that are not the newest threads, and an issued empty slot —
+// so the restored live-thread list is in arbitration order by
+// construction.
+func TestRestoreRejectsUnreachableStates(t *testing.T) {
+	p := pingPong(5)
+	s, err := New(miniMachine(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stop after the fork: both threads are running.
+	var be *BudgetError
+	if _, err := s.Run(6); !errors.As(err, &be) {
+		t.Fatalf("short run: %v, want a budget stop", err)
+	}
+	ck, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Threads) != 2 || ck.Threads[0].Halted || ck.Threads[1].Halted {
+		t.Fatalf("want two running threads at cycle %d, got %+v", ck.Cycle, ck.Threads)
+	}
+	data, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(ck *Checkpoint)
+		want string
+	}{
+		{"priority-not-id", func(ck *Checkpoint) { ck.Threads[1].Priority = 0 }, "priority"},
+		{"threads-out-of-order", func(ck *Checkpoint) {
+			ck.Threads[0], ck.Threads[1] = ck.Threads[1], ck.Threads[0]
+		}, "ID"},
+		{"pending-not-newest", func(ck *Checkpoint) { ck.PendingSpawns = []int{0} }, "pending"},
+		{"pending-duplicated", func(ck *Checkpoint) { ck.PendingSpawns = []int{1, 1} }, "pending"},
+		{"issued-empty-slot", func(ck *Checkpoint) {
+			ts := &ck.Threads[0]
+			for slot := range ts.Issued {
+				if p.Segments[ts.SegIdx].Instrs[ts.IP].Ops[slot] == nil {
+					ts.Issued[slot] = true
+					return
+				}
+			}
+			t.Fatal("head word has no empty slot")
+		}, "empty slot"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var bad Checkpoint
+			if err := json.Unmarshal(data, &bad); err != nil {
+				t.Fatal(err)
+			}
+			tc.mut(&bad)
+			r, err := New(miniMachine(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = r.Restore(&bad)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+	// The unmodified checkpoint still restores.
+	var good Checkpoint
+	if err := json.Unmarshal(data, &good); err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(miniMachine(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore(&good); err != nil {
+		t.Fatalf("Restore of an untouched checkpoint: %v", err)
 	}
 }
 

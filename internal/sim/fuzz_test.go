@@ -89,7 +89,8 @@ func FuzzParseText(f *testing.F) {
 // FuzzCheckpoint: bytes decoded as a Checkpoint, restored into a Coupled
 // or a CoupledDyn lud cell, and run a short while either fail with an
 // error or run; they never panic. The seeds are real mid-run checkpoints
-// of both cells.
+// of both cells, plus one whose second thread claims the first's
+// priority, a state no run reaches and Restore rejects.
 func FuzzCheckpoint(f *testing.F) {
 	base := machine.Baseline().WithMemory(machine.Mem2)
 	cfgs := []*machine.Config{base, base.WithDynamic(machine.DynAll)}
@@ -110,6 +111,9 @@ func FuzzCheckpoint(f *testing.F) {
 		}
 		f.Add(cks[0])
 		f.Add(cks[1])
+		if i == 0 {
+			f.Add(swapPriority(f, cks[1]))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ck Checkpoint
@@ -127,4 +131,22 @@ func FuzzCheckpoint(f *testing.F) {
 			s.Run(ck.Cycle + fuzzBudget)
 		}
 	})
+}
+
+// swapPriority rewrites a checkpoint so its second thread has the
+// first thread's priority.
+func swapPriority(f *testing.F, data []byte) []byte {
+	var ck Checkpoint
+	if err := json.Unmarshal(data, &ck); err != nil {
+		f.Fatal(err)
+	}
+	if len(ck.Threads) < 2 {
+		f.Fatalf("seed checkpoint has %d threads, want >= 2", len(ck.Threads))
+	}
+	ck.Threads[1].Priority = ck.Threads[0].Priority
+	out, err := json.Marshal(&ck)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return out
 }

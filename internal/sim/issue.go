@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pcoup/internal/dynsched"
 	"pcoup/internal/isa"
@@ -42,21 +43,21 @@ func (s *Sim) issue() {
 		if s.inj != nil && s.inj.UnitDown(slot, s.cycle) {
 			continue
 		}
+		bit := uint64(1) << slot
 	threads:
-		for _, ti := range order {
-			t := s.threads[ti]
+		for _, t := range order {
 			if t.stalled || t.Halted || s.cycle <= t.squashUntil {
 				continue
 			}
 			// The thread's window entries, oldest first.
 			for k, e := range t.win.Entries {
-				if slot >= len(e.Ops) {
+				if e.Unissued&bit == 0 {
 					continue
 				}
 				op := e.Ops[slot]
 				// issueOK passes every op of a non-speculative head, so
 				// the in-order machine never pays for the call.
-				if op == nil || e.Issued[slot] || !(k == 0 && !e.Spec || s.issueOK(t, k, e, op)) ||
+				if !(k == 0 && !e.Spec || s.issueOK(t, k, e, op)) ||
 					!s.ready(t, op) || !s.opCacheOK(slot, t.SegIdx, e.IP) {
 					continue
 				}
@@ -72,23 +73,20 @@ func (s *Sim) issue() {
 // taken this cycle. A per-unit scan alone would be wrong: it could admit
 // a lower-priority word on an earlier unit and so block a higher-priority
 // word that needs the same unit.
-func (s *Sim) admitLockStep(order []int) {
+func (s *Sim) admitLockStep(order []*Thread) {
 	busy := s.busyScratch
 	for slot := range busy {
 		busy[slot] = s.inj != nil && s.inj.UnitDown(slot, s.cycle)
 	}
-	for _, ti := range order {
-		t := s.threads[ti]
+	for _, t := range order {
 		e := t.win.Head()
 		if t.stalled || t.Halted || e == nil {
 			continue
 		}
 		ok := true
-		for slot, op := range e.Ops {
-			if op == nil || e.Issued[slot] {
-				continue
-			}
-			if busy[slot] || !s.ready(t, op) || !s.opCacheOK(slot, t.SegIdx, e.IP) {
+		for m := e.Unissued; m != 0; m &= m - 1 {
+			slot := bits.TrailingZeros64(m)
+			if busy[slot] || !s.ready(t, e.Ops[slot]) || !s.opCacheOK(slot, t.SegIdx, e.IP) {
 				ok = false
 				break
 			}
@@ -96,12 +94,10 @@ func (s *Sim) admitLockStep(order []int) {
 		if !ok {
 			continue
 		}
-		for slot, op := range e.Ops {
-			if op == nil || e.Issued[slot] {
-				continue
-			}
+		for m := e.Unissued; m != 0; m &= m - 1 {
+			slot := bits.TrailingZeros64(m)
 			busy[slot] = true
-			s.issueEntryOp(t, 0, e, slot, op)
+			s.issueEntryOp(t, 0, e, slot, e.Ops[slot])
 		}
 	}
 }
@@ -112,10 +108,8 @@ func (s *Sim) admitLockStep(order []int) {
 // fill-blocked thread must keep getting scanned.
 func (s *Sim) hasReady(t *Thread) bool {
 	for k, e := range t.win.Entries {
-		for slot, op := range e.Ops {
-			if op == nil || e.Issued[slot] {
-				continue
-			}
+		for m := e.Unissued; m != 0; m &= m - 1 {
+			op := e.Ops[bits.TrailingZeros64(m)]
 			if (k == 0 && !e.Spec || s.issueOK(t, k, e, op)) && s.ready(t, op) {
 				return true
 			}
@@ -154,10 +148,8 @@ func (s *Sim) issueOK(t *Thread, k int, e *dynsched.Entry, op *isa.Op) bool {
 		return false
 	}
 	for _, pe := range t.win.Entries[:k] {
-		for ps, pop := range pe.Ops {
-			if pop == nil || pe.Issued[ps] {
-				continue
-			}
+		for m := pe.Unissued; m != 0; m &= m - 1 {
+			pop := pe.Ops[bits.TrailingZeros64(m)]
 			if op.IsMemory() && pop.IsMemory() {
 				return false
 			}

@@ -10,6 +10,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"pcoup/internal/dynsched"
@@ -109,7 +110,16 @@ type Sim struct {
 	mem   *memsys.Memory
 	arb   *interconnect.Arbiter
 
+	// threads lists every activated thread in spawn order, halted ones
+	// included: the record finalize and deadlock report from.
 	threads []*Thread
+	// live lists the activated threads still running, in arbitration
+	// order (spawn order, which is priority order). activateSpawns
+	// appends to it and step compacts it once, after the settle phase,
+	// so a thread that halts mid-cycle is still visited by the rest of
+	// that cycle. Every per-cycle phase walks live, so a cycle's work
+	// scales with the running threads, not with every thread spawned.
+	live []*Thread
 	// byID maps thread ID -> thread; IDs are dense spawn-order indices,
 	// so a slice lookup resolves memory-completion tags.
 	byID    []*Thread
@@ -125,10 +135,9 @@ type Sim struct {
 
 	// Per-cycle scratch buffers, reused across cycles so the steady-state
 	// kernel allocates nothing.
-	orderScratch []int
-	rotScratch   []int
-	busyScratch  []bool
-	valScratch   []isa.Value
+	rotScratch  []*Thread
+	busyScratch []bool
+	valScratch  []isa.Value
 
 	// reqFree recycles memsys.Request objects: a request completes
 	// exactly once (via mem.Tick), after which nothing references it, so
@@ -207,6 +216,10 @@ type Sim struct {
 	ckptEvery int64
 	ckptSink  func(*Checkpoint) error
 }
+
+// A word's unit slots are bits of a dynsched.Entry's Unissued mask, so
+// no machine may have more units than the mask has bits.
+var _ [dynsched.MaxSlots - machine.MaxTotalUnits]struct{}
 
 // Option configures a Sim.
 type Option func(*Sim)
@@ -379,7 +392,7 @@ func (s *Sim) spawn(segIdx int) *Thread {
 		t.IP = len(t.Seg.Instrs)
 		t.Halted, t.HaltAt = true, s.cycle
 	} else {
-		t.win.Init(sh, s.winCap, len(s.units), uint64(segIdx)<<20)
+		t.win.Init(sh, s.winCap, uint64(segIdx)<<20)
 		t.win.Fetch(ip, false)
 		t.win.Extend(s.dynPred())
 		t.IP = ip
@@ -390,14 +403,33 @@ func (s *Sim) spawn(segIdx int) *Thread {
 
 func (s *Sim) activateSpawns() {
 	s.threads = append(s.threads, s.pendingSpawns...)
+	for _, t := range s.pendingSpawns {
+		if !t.Halted {
+			s.live = append(s.live, t)
+		}
+	}
 	s.pendingSpawns = s.pendingSpawns[:0]
 }
 
+// compactLive drops the threads that halted this cycle from s.live,
+// keeping the rest in order.
+func (s *Sim) compactLive() {
+	live := s.live[:0]
+	for _, t := range s.live {
+		if !t.Halted {
+			live = append(live, t)
+		}
+	}
+	clear(s.live[len(live):])
+	s.live = live
+}
+
 // activeCount returns the number of unhalted threads (including spawns
-// activating next cycle).
+// activating next cycle). It checks Halted because a thread halting
+// mid-cycle frees its slot at once, before s.live is compacted.
 func (s *Sim) activeCount() int {
 	n := len(s.pendingSpawns)
-	for _, t := range s.threads {
+	for _, t := range s.live {
 		if !t.Halted {
 			n++
 		}
@@ -532,7 +564,7 @@ func (s *Sim) finished() bool {
 	if len(s.pendingSpawns) > 0 || len(s.wbq) > 0 || !s.mem.Quiescent() {
 		return false
 	}
-	for _, t := range s.threads {
+	for _, t := range s.live {
 		if !t.Halted {
 			return false
 		}
@@ -561,10 +593,8 @@ func (s *Sim) deadlock() error {
 			desc += fmt.Sprintf(" [waiting addr %d]", addr)
 		}
 		if e := t.win.Head(); e != nil {
-			for slot, op := range e.Ops {
-				if op == nil || e.Issued[slot] {
-					continue
-				}
+			for m := e.Unissued; m != 0; m &= m - 1 {
+				op := e.Ops[bits.TrailingZeros64(m)]
 				desc += fmt.Sprintf("; waiting op %s", op)
 				for _, src := range op.Srcs {
 					if src.Kind == isa.OperandReg && !t.Regs.Valid(src.Reg) {
@@ -638,7 +668,7 @@ func (s *Sim) step() {
 	// issued head and extends its fetch path; frontier reports any
 	// structural change so the cycle is marked busy (the event core must
 	// never skip a retire or fetch).
-	for _, t := range s.threads {
+	for _, t := range s.live {
 		// A one-word window changes only once its word has fully issued.
 		if !t.Halted && (s.winCap > 1 || t.win.HeadDone()) && s.frontier(t) {
 			busy = true
@@ -653,12 +683,13 @@ func (s *Sim) step() {
 	// only follows the final issue of a word) stay hot, and so does a
 	// squash-suppressed thread: no later event marks the end of
 	// suppression, so it must keep getting scanned.
-	for _, t := range s.threads {
+	for _, t := range s.live {
 		if t.stalled || t.Halted || t.lastIssue == s.cycle {
 			continue
 		}
 		t.stalled = s.cycle > t.squashUntil && !s.hasReady(t)
 	}
+	s.compactLive()
 }
 
 func (s *Sim) progress() { s.lastProgress = s.cycle }
@@ -761,34 +792,20 @@ func (s *Sim) drainWritebacks() bool {
 	return true
 }
 
-// threadOrder returns thread indices in arbitration order for this cycle.
-// The returned slice is scratch owned by the Sim, valid until the next
-// call.
-func (s *Sim) threadOrder() []int {
-	order := s.orderScratch[:0]
-	for i := range s.threads {
-		if !s.threads[i].Halted {
-			order = append(order, i)
-		}
+// threadOrder returns the running threads in arbitration order for this
+// cycle. Under fixed priority that is s.live itself, which is in
+// priority order by construction (spawn assigns Priority = ID and
+// Restore rejects anything else); round-robin rotates it by the cycle
+// into scratch owned by the Sim, valid until the next call. Callers must
+// not modify the result.
+func (s *Sim) threadOrder() []*Thread {
+	live := s.live
+	if s.cfg.Arbitration != machine.RoundRobinArbitration || len(live) <= 1 {
+		return live
 	}
-	s.orderScratch = order
-	// Threads are appended in spawn order and Priority == spawn order, so
-	// order is already priority-sorted; the insertion sort below is a
-	// guard for future priority schemes and costs one pass when sorted.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && s.threads[order[j]].Priority < s.threads[order[j-1]].Priority; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	if s.cfg.Arbitration == machine.RoundRobinArbitration && len(order) > 1 {
-		rot := int(s.cycle) % len(order)
-		rotated := append(s.rotScratch[:0], order[rot:]...)
-		rotated = append(rotated, order[:rot]...)
-		s.rotScratch = order
-		s.orderScratch = rotated
-		return rotated
-	}
-	return order
+	rot := int(s.cycle) % len(live)
+	s.rotScratch = append(append(s.rotScratch[:0], live[rot:]...), live[:rot]...)
+	return s.rotScratch
 }
 
 // ready reports whether op may issue for thread t this cycle: every source
@@ -813,8 +830,8 @@ func (s *Sim) ready(t *Thread, op *isa.Op) bool {
 		// lock-step issue the whole word issues atomically, so nothing
 		// can be abandoned.)
 		if e := t.win.Head(); e != nil && !s.cfg.LockStepIssue {
-			for slot, other := range e.Ops {
-				if other != nil && other.Code != isa.OpHalt && !e.Issued[slot] {
+			for m := e.Unissued; m != 0; m &= m - 1 {
+				if e.Ops[bits.TrailingZeros64(m)].Code != isa.OpHalt {
 					return false
 				}
 			}
@@ -860,7 +877,7 @@ func (s *Sim) opCacheOK(slot, seg, ip int) bool {
 // units arbitrated after this one, exactly as under the uncached scan.
 func (s *Sim) haltIssued(t *Thread) {
 	t.Halted, t.HaltAt = true, s.cycle
-	for _, other := range s.threads {
+	for _, other := range s.live {
 		other.stalled = false
 	}
 }

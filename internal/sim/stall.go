@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 
 	"pcoup/internal/dynsched"
 	"pcoup/internal/isa"
@@ -178,12 +179,13 @@ func (s *Sim) ensureAttrib() {
 
 // classifyCycles credits every active thread's classification to the n
 // cycles from first and emits it to the observers as a stall span. step
-// calls it per cycle (n = 1) after issue and before frontiers advance, so
-// a thread that issued its halt this cycle counts as issued; the event
+// calls it per cycle (n = 1) after issue and before frontiers advance,
+// while s.live still holds the threads that halted this cycle, so a
+// thread that issued its halt this cycle counts as issued; the event
 // core calls it from a quiet cycle for the k cycles it jumps, over which
 // that classification holds (see eventcore.go).
 func (s *Sim) classifyCycles(first, n int64) {
-	for _, t := range s.threads {
+	for _, t := range s.live {
 		if t.Halted && !(t.HaltAt == s.cycle && t.lastIssue == s.cycle) {
 			continue
 		}
@@ -236,10 +238,9 @@ func (s *Sim) classify(t *Thread) (cause StallCause, slot int, reg isa.RegRef, h
 // retire/fetch limited) is the window-full structural stall.
 func (s *Sim) classifyWindow(t *Thread) (cause StallCause, slot int, reg isa.RegRef, hasReg bool) {
 	for k, e := range t.win.Entries {
-		for sl, op := range e.Ops {
-			if op == nil || e.Issued[sl] {
-				continue
-			}
+		for m := e.Unissued; m != 0; m &= m - 1 {
+			sl := bits.TrailingZeros64(m)
+			op := e.Ops[sl]
 			if s.issueOK(t, k, e, op) && s.ready(t, op) {
 				if s.inj != nil && s.inj.UnitDownQuiet(sl, s.cycle) {
 					return CauseFault, sl, reg, false
@@ -257,7 +258,7 @@ func (s *Sim) classifyWindow(t *Thread) (cause StallCause, slot int, reg isa.Reg
 	// against older entries — all of which resolve through the window
 	// draining, so the window is charged.
 	for _, e := range t.win.Entries {
-		if e.Pending == 0 {
+		if e.Unissued == 0 {
 			continue
 		}
 		cause, sl, wreg, hasReg, blocked := s.classifyWord(t, e)
@@ -281,10 +282,9 @@ func (s *Sim) classifyWindow(t *Thread) (cause StallCause, slot int, reg isa.Reg
 // words to the window.
 func (s *Sim) classifyWord(t *Thread, e *dynsched.Entry) (cause StallCause, slot int, reg isa.RegRef, hasReg bool, blocked bool) {
 	firstUnissued := -1
-	for si, op := range e.Ops {
-		if op == nil || e.Issued[si] {
-			continue
-		}
+	for m := e.Unissued; m != 0; m &= m - 1 {
+		si := bits.TrailingZeros64(m)
+		op := e.Ops[si]
 		if firstUnissued < 0 {
 			firstUnissued = si
 		}
