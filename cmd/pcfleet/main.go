@@ -3,12 +3,13 @@
 // unchanged), routing each sweep cell to its content-key owner on a
 // consistent-hash ring so every backend's result cache stays hot for a
 // disjoint shard of the key space. Failed backends are ejected and
-// their cells fail over; stragglers past a latency quantile get one
-// hedged duplicate. With -tenants, submitters authenticate by API key
-// and dispatch switches from FIFO to weighted deficit round-robin:
-// interactive-class cells preempt batch backlogs, per-tenant quotas
-// return 429 + Retry-After, idle backends steal queued cells from
-// saturated ones, and warm peer caches are probed before computing.
+// their cells fail over. Dispatch is weighted deficit round-robin over
+// tenants: idle backends steal queued cells from saturated ones, and
+// warm peer caches are probed before computing. Without -tenants every
+// submission shares one unlimited tenant, so cells run in arrival
+// order. With -tenants, submitters authenticate by API key,
+// interactive-class cells preempt batch backlogs, and per-tenant quotas
+// return 429 + Retry-After.
 // See docs/ARCHITECTURE.md (fleet layer).
 //
 // Usage:
@@ -44,15 +45,12 @@ func main() {
 	ejectAfter := flag.Int("eject-after", 2, "consecutive probe failures before a backend is ejected")
 	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load factor c: spill past an owner above ceil(c*(inflight+1)/healthy)")
 	tenantsFile := flag.String("tenants", "", "tenant config file (JSON array of specs); empty: open access, no auth")
-	scheduling := flag.String("scheduling", "drr", "dispatch scheduling: drr (weighted fair) or fifo")
 	backendConcurrency := flag.Int("backend-concurrency", 0, "dispatch workers per backend (0: 8)")
 	stealChunk := flag.Int("steal-chunk", 0, "max cells stolen per steal from another backend's queue tail (0: 8)")
 	peerFill := flag.Bool("peer-fill", true, "probe the cache owner before computing a cell elsewhere")
 	highWatermark := flag.Int("high-watermark", 0, "total queued cells past which batch submissions shed (0: 4096, negative: disabled)")
 	retryBudget := flag.Int("retry-budget", 3, "attempts per cell across backends before the job fails")
 	retryBackoff := flag.Duration("retry-backoff", 200*time.Millisecond, "base backoff between failover attempts of one cell (doubles per attempt)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.9, "completed-cell latency quantile past which a straggler is hedged (>=1 disables)")
-	hedgeMinSamples := flag.Int("hedge-min-samples", 8, "completed cells observed before hedging arms")
 	presetNames := flag.String("preset-names", "", "comma-separated preset names the backends serve besides baseline")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs before cancelling them")
 	flag.Parse()
@@ -80,15 +78,12 @@ func main() {
 			LoadFactor:    *loadFactor,
 		},
 		Tenants:            tenants,
-		Scheduling:         *scheduling,
 		BackendConcurrency: *backendConcurrency,
 		StealChunk:         *stealChunk,
 		NoPeerFill:         !*peerFill,
 		HighWatermark:      *highWatermark,
 		RetryBudget:        *retryBudget,
 		RetryBackoff:       *retryBackoff,
-		HedgeQuantile:      *hedgeQuantile,
-		HedgeMinSamples:    *hedgeMinSamples,
 		PresetNames:        splitList(*presetNames),
 	})
 	if err != nil {

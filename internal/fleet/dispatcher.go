@@ -7,15 +7,16 @@ import (
 	"pcoup/internal/tenant"
 )
 
-// The dispatcher replaces PR 5's global inflight semaphore with
-// per-backend queues drained by worker goroutines. Placement stays
-// static — each task is enqueued at its content key's ring owner, so
-// cache affinity is the common case — while arbitration is dynamic:
+// The dispatcher keeps per-backend queues drained by worker
+// goroutines. Placement stays static — each task is enqueued at its
+// content key's ring owner, so cache affinity is the common case —
+// while arbitration is dynamic:
 //
 //   - Within a backend queue, tenants are served by weighted deficit
 //     round robin (DRR) under strict priority classes (interactive
 //     before batch), so one tenant's flood interleaves fairly with
-//     everyone else instead of forming a FIFO convoy.
+//     everyone else instead of forming a FIFO convoy. A lone tenant's
+//     cells pop in arrival order.
 //   - A tenant at its MaxInflightCells cap is skipped without consuming
 //     its deficit; its cells wait queued while others proceed.
 //   - When a backend's workers run dry they steal a chunk of queued
@@ -49,7 +50,6 @@ type task struct {
 	specJSON []byte
 	index    int
 	owner    string // backend URL the task was originally queued at
-	acquired bool   // holds a tenant inflight slot (set at pop)
 	resCh    chan taskResult
 }
 
@@ -101,11 +101,16 @@ func (cq *classQueue) remove(i int) {
 }
 
 // backendQueue is the per-backend dispatch queue: one classQueue per
-// priority class under DRR, or a plain FIFO deque in fifo mode.
+// priority class under DRR.
 type backendQueue struct {
 	classes [tenant.NumClasses]*classQueue
-	fifo    []*task
 	depth   int
+}
+
+// push queues t under its tenant's class.
+func (bq *backendQueue) push(t *task) {
+	bq.classes[t.ten.Class().Index()].push(t)
+	bq.depth++
 }
 
 // dispatcher owns every backend queue. One mutex guards them all: the
@@ -116,20 +121,18 @@ type dispatcher struct {
 	cond    *sync.Cond
 	queues  map[string]*backendQueue
 	order   []string // stable iteration order for stealing
-	drr     bool
 	chunk   int
 	closed  bool
 	total   int
 	metrics *Metrics
 }
 
-func newDispatcher(backends []string, drr bool, stealChunk int, m *Metrics) *dispatcher {
+func newDispatcher(backends []string, stealChunk int, m *Metrics) *dispatcher {
 	if stealChunk <= 0 {
 		stealChunk = defaultStealChunk
 	}
 	d := &dispatcher{
 		queues:  make(map[string]*backendQueue, len(backends)),
-		drr:     drr,
 		chunk:   stealChunk,
 		metrics: m,
 	}
@@ -138,13 +141,12 @@ func newDispatcher(backends []string, drr bool, stealChunk int, m *Metrics) *dis
 		if _, dup := d.queues[url]; dup {
 			continue
 		}
-		d.queues[url] = &backendQueue{}
-		d.order = append(d.order, url)
-		if drr {
-			for i := range d.queues[url].classes {
-				d.queues[url].classes[i] = newClassQueue()
-			}
+		bq := &backendQueue{}
+		for i := range bq.classes {
+			bq.classes[i] = newClassQueue()
 		}
+		d.queues[url] = bq
+		d.order = append(d.order, url)
 	}
 	return d
 }
@@ -160,12 +162,7 @@ func (d *dispatcher) enqueue(tasks []*task) {
 			t.owner = d.order[0]
 			bq = d.queues[t.owner]
 		}
-		if d.drr {
-			bq.classes[t.ten.Class().Index()].push(t)
-		} else {
-			bq.fifo = append(bq.fifo, t)
-		}
-		bq.depth++
+		bq.push(t)
 		d.total++
 	}
 	d.mu.Unlock()
@@ -206,19 +203,6 @@ func (d *dispatcher) popLocked(url string) *task {
 }
 
 func (d *dispatcher) popQueueLocked(bq *backendQueue) *task {
-	if !d.drr {
-		for len(bq.fifo) > 0 {
-			t := bq.fifo[0]
-			bq.fifo = bq.fifo[1:]
-			d.taskPoppedLocked(bq, t)
-			// FIFO mode keeps the inflight gauge but does not gate on
-			// quota — matching the pre-tenant fleet semantics.
-			t.ten.AcquireInflight()
-			t.acquired = true
-			return t
-		}
-		return nil
-	}
 	for _, cq := range bq.classes {
 		if t := d.popClassLocked(bq, cq); t != nil {
 			return t
@@ -258,17 +242,12 @@ func (d *dispatcher) popClassLocked(bq *backendQueue, cq *classQueue) *task {
 		if len(tq.tasks) == 0 {
 			cq.remove(i)
 		}
-		d.taskPoppedLocked(bq, t)
-		t.acquired = true
+		bq.depth--
+		d.total--
+		t.ten.SubQueued(1)
 		return t
 	}
 	return nil
-}
-
-func (d *dispatcher) taskPoppedLocked(bq *backendQueue, t *task) {
-	bq.depth--
-	d.total--
-	t.ten.SubQueued(1)
 }
 
 // stealLocked moves up to chunk tasks from the tail of the deepest
@@ -306,12 +285,7 @@ func (d *dispatcher) stealLocked(url string) bool {
 	}
 	thief := d.queues[url]
 	for _, t := range stolen {
-		if d.drr {
-			thief.classes[t.ten.Class().Index()].push(t)
-		} else {
-			thief.fifo = append(thief.fifo, t)
-		}
-		thief.depth++
+		thief.push(t)
 	}
 	if d.metrics != nil {
 		d.metrics.steals.Add(int64(len(stolen)))
@@ -325,15 +299,6 @@ func (d *dispatcher) stealLocked(url string) bool {
 // park them, blocked, in the thief's queue.
 func (d *dispatcher) takeTailLocked(bq *backendQueue, n int) []*task {
 	var out []*task
-	if !d.drr {
-		for len(out) < n && len(bq.fifo) > 0 {
-			t := bq.fifo[len(bq.fifo)-1]
-			bq.fifo = bq.fifo[:len(bq.fifo)-1]
-			out = append(out, t)
-			bq.depth--
-		}
-		return out
-	}
 	// Scan classes lowest-priority first so batch is stolen before
 	// interactive.
 	for ci := len(bq.classes) - 1; ci >= 0 && len(out) < n; ci-- {
@@ -367,14 +332,12 @@ func (d *dispatcher) tenantHasSlack(t *tenant.Tenant) bool {
 	return ok
 }
 
-// complete releases the task's tenant inflight slot and wakes workers
-// whose tenants may have been quota-blocked on it.
+// complete releases the inflight slot a popped task took and wakes
+// workers whose tenants may have been quota-blocked on it. Call it once
+// per task returned by next.
 func (d *dispatcher) complete(t *task) {
-	if t.acquired {
-		t.ten.ReleaseInflight()
-		t.acquired = false
-		d.cond.Broadcast()
-	}
+	t.ten.ReleaseInflight()
+	d.cond.Broadcast()
 }
 
 // queued returns the total queued (admitted, undispatched) cell count.

@@ -17,18 +17,20 @@ import (
 // The fleetfair experiment measures multi-tenant isolation through the
 // gateway: an interactive tenant submits small single-cell jobs while a
 // batch tenant floods the fleet with sweeps, and the interactive p50/p99
-// latency is compared between FIFO dispatch (the batch backlog queues
-// ahead of everything) and weighted DRR dispatch (interactive-class
-// cells are served first). This is the paper's static-placement vs
-// runtime-arbitration tradeoff lifted to the fleet: FIFO is the fixed
-// compile-time schedule, DRR the runtime scheduler reordering around a
-// stalled (here: flooded) resource. Every submission carries a distinct
+// latency is compared between a shared-tenant baseline (both streams
+// submitted as one tenant, so DRR degenerates to arrival order and the
+// batch backlog queues ahead of everything; labelled "fifo") and
+// per-tenant DRR dispatch (interactive-class cells are served first).
+// This is the paper's static-placement vs runtime-arbitration tradeoff
+// lifted to the fleet: arrival order is the fixed compile-time
+// schedule, DRR the runtime scheduler reordering around a stalled
+// (here: flooded) resource. Every submission carries a distinct
 // cycle budget so nothing is served from cache — the measurement is
 // queueing, not cache luck.
 func init() {
 	experiments.Register(experiments.Experiment{
 		Name:      "fleetfair",
-		Brief:     "interactive p50/p99 under batch flood, FIFO vs DRR dispatch (extension; spawns local daemons)",
+		Brief:     "interactive p50/p99 under batch flood, shared-tenant FIFO vs DRR dispatch (extension; spawns local daemons)",
 		SkipInAll: true,
 		Run:       func(rc *experiments.RunContext) (any, error) { return FleetFair(rc.Context()) },
 		Write: func(w io.Writer, _ *machine.Config, rows any) {
@@ -37,11 +39,12 @@ func init() {
 	})
 }
 
-// FleetFairRow is one (backend count, scheduling) configuration.
+// FleetFairRow is one (backend count, tenancy) configuration.
 type FleetFairRow struct {
 	// Backends is the pcserved count behind the gateway.
 	Backends int `json:"backends"`
-	// Sched is the dispatch discipline: "fifo" or "drr".
+	// Sched is "fifo" (both streams as one shared unlimited tenant:
+	// arrival order) or "drr" (an interactive and a batch tenant).
 	Sched string `json:"sched"`
 	// BaseP50MS/BaseP99MS are interactive latencies on an idle fleet.
 	BaseP50MS float64 `json:"base_p50_ms"`
@@ -66,8 +69,8 @@ func nextFairOptions() service.SimOptions {
 	return service.SimOptions{MaxCycles: 10_000_000 + fleetFairCycles.Add(1)}
 }
 
-// FleetFair measures every scheduling discipline at 1, 2, and 4
-// backends.
+// FleetFair measures the shared-tenant baseline and per-tenant DRR at
+// 1, 2, and 4 backends.
 func FleetFair(ctx context.Context) ([]FleetFairRow, error) {
 	var rows []FleetFairRow
 	for _, n := range []int{1, 2, 4} {
@@ -82,9 +85,9 @@ func FleetFair(ctx context.Context) ([]FleetFairRow, error) {
 	return rows, nil
 }
 
-// fleetFairOne boots n fresh backends plus a gateway under the given
-// scheduling discipline and measures interactive latency idle and
-// flooded.
+// fleetFairOne boots n fresh backends plus a gateway and measures
+// interactive latency idle and flooded, with the two streams submitted
+// as separate tenants (drr) or as one shared tenant (fifo).
 func fleetFairOne(ctx context.Context, n int, sched string) (*FleetFairRow, error) {
 	var urls []string
 	var stops []func()
@@ -103,12 +106,10 @@ func fleetFairOne(ctx context.Context, n int, sched string) (*FleetFairRow, erro
 	}
 
 	gw, err := New(Options{
-		Pool:       PoolOptions{Backends: urls, ProbeInterval: 200 * time.Millisecond},
-		Scheduling: sched,
+		Pool: PoolOptions{Backends: urls, ProbeInterval: 200 * time.Millisecond},
 		// One dispatch worker per backend: contention for the worker is
 		// the whole point of the measurement.
 		BackendConcurrency: 1,
-		HedgeQuantile:      2, // disabled: hedges would blur the queueing signal
 	})
 	if err != nil {
 		return nil, err
@@ -129,6 +130,12 @@ func fleetFairOne(ctx context.Context, n int, sched string) (*FleetFairRow, erro
 	batch, err := tenant.New(tenant.Spec{Name: "batch", Weight: 1, Class: "batch"})
 	if err != nil {
 		return nil, err
+	}
+	if sched == "fifo" {
+		// Both streams share one unlimited tenant, hence one queue per
+		// backend: cells pop in arrival order, so interactive cells wait
+		// behind the whole batch backlog.
+		batch = interactive
 	}
 
 	base, err := fleetFairSample(ctx, gw, interactive)
@@ -225,12 +232,13 @@ func fleetFairFlood(ctx context.Context, gw *Gateway, ten *tenant.Tenant, done c
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// WriteFleetFair renders the fairness table plus the FIFO-to-DRR p99
-// improvement at each fleet size.
+// WriteFleetFair renders the fairness table plus the shared-tenant to
+// DRR p99 improvement at each fleet size.
 func WriteFleetFair(w io.Writer, rows []FleetFairRow) {
 	fmt.Fprintf(w, "Fleet fairness: interactive latency with and without a batch sweep flood\n")
-	fmt.Fprintf(w, "(fifo: single queue per backend; drr: weighted deficit round-robin with\n")
-	fmt.Fprintf(w, "strict interactive-before-batch class priority and tail work stealing)\n\n")
+	fmt.Fprintf(w, "(fifo: both streams as one shared tenant, served in arrival order; drr:\n")
+	fmt.Fprintf(w, "separate tenants under weighted deficit round-robin with strict\n")
+	fmt.Fprintf(w, "interactive-before-batch class priority; both steal from queue tails)\n\n")
 	fmt.Fprintf(w, "%9s %6s %10s %10s %11s %11s %7s\n",
 		"backends", "sched", "idle p50", "idle p99", "flood p50", "flood p99", "steals")
 	for _, r := range rows {
@@ -250,4 +258,13 @@ func WriteFleetFair(w io.Writer, rows []FleetFairRow) {
 				n, fifo.FloodP99MS/drr.FloodP99MS)
 		}
 	}
+}
+
+// sortedQuantile returns the q-quantile of an ascending slice by rank:
+// sorted[min(⌊q·n⌋, n−1)], or 0 for an empty slice.
+func sortedQuantile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[min(int(q*float64(len(sorted))), len(sorted)-1)]
 }

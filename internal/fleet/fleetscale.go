@@ -100,8 +100,7 @@ func fleetScaleOne(ctx context.Context, n int) (*FleetScaleRow, error) {
 	}
 
 	gw, err := New(Options{
-		Pool:          PoolOptions{Backends: urls, ProbeInterval: 200 * time.Millisecond},
-		HedgeQuantile: 2, // disabled: hedges would blur the scaling signal
+		Pool: PoolOptions{Backends: urls, ProbeInterval: 200 * time.Millisecond},
 	})
 	if err != nil {
 		return nil, err

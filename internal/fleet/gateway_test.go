@@ -39,8 +39,7 @@ func startBackend(t *testing.T, opts service.Options) (string, *service.Server, 
 func startGateway(t *testing.T, urls []string, mut func(*Options)) (*Gateway, *httptest.Server) {
 	t.Helper()
 	opts := Options{
-		Pool:          PoolOptions{Backends: urls, ProbeInterval: 100 * time.Millisecond},
-		HedgeQuantile: 2, // disabled unless a test opts in
+		Pool: PoolOptions{Backends: urls, ProbeInterval: 100 * time.Millisecond},
 	}
 	if mut != nil {
 		mut(&opts)

@@ -21,8 +21,6 @@ type Metrics struct {
 	affinityHits    *obs.Counter    // ... that the routed backend served from cache
 	spills          *obs.Counter
 	failovers       *obs.Counter
-	hedgesFired     *obs.Counter
-	hedgesWon       *obs.Counter
 	probeFailures   *obs.Counter
 	ejections       *obs.Counter
 	readmissions    *obs.Counter
@@ -40,8 +38,6 @@ func NewMetrics() *Metrics {
 		affinityHits:    obs.NewCounter("pcfleet_affinity_hits_total", "Dispatches the routed backend served from its cache."),
 		spills:          obs.NewCounter("pcfleet_spills_total", "Bounded-load spills past a saturated ring owner."),
 		failovers:       obs.NewCounter("pcfleet_failovers_total", "Attempts re-routed after a backend failure."),
-		hedgesFired:     obs.NewCounter("pcfleet_hedges_fired_total", "Straggler duplicates launched."),
-		hedgesWon:       obs.NewCounter("pcfleet_hedges_won_total", "Duplicates that finished before their primary."),
 		probeFailures:   obs.NewCounter("pcfleet_probe_failures_total", "Failed backend health probes."),
 		ejections:       obs.NewCounter("pcfleet_backend_ejections_total", "Backends ejected after failed probes or dispatch errors."),
 		readmissions:    obs.NewCounter("pcfleet_backend_readmissions_total", "Ejected backends re-admitted by a passing probe."),
@@ -70,10 +66,10 @@ func (m *Metrics) AffinityStats() (lookups, hits int64) {
 // Failovers returns the lifetime failover count.
 func (m *Metrics) Failovers() int64 { return m.failovers.Value() }
 
-// HedgeStats returns lifetime hedges fired and won.
-func (m *Metrics) HedgeStats() (fired, won int64) {
-	return m.hedgesFired.Value(), m.hedgesWon.Value()
-}
+// HedgeStats returns (0, 0): the gateway does not hedge stragglers.
+// It is kept because the frozen benchmark module (benchmark/) calls it
+// for its fleet.hedges_fired metric.
+func (m *Metrics) HedgeStats() (fired, won int64) { return 0, 0 }
 
 // Steals returns the lifetime stolen-cell count.
 func (m *Metrics) Steals() int64 { return m.steals.Value() }
@@ -141,7 +137,7 @@ func (g *Gateway) writeMetrics(w io.Writer) {
 	if lookups, hits := m.AffinityStats(); lookups > 0 {
 		obs.Gauge(w, "pcfleet_affinity_hit_ratio", "Affinity hits over lookups since start.").Float(float64(hits) / float64(lookups))
 	}
-	for _, c := range []*obs.Counter{m.spills, m.failovers, m.hedgesFired, m.hedgesWon,
+	for _, c := range []*obs.Counter{m.spills, m.failovers,
 		m.probeFailures, m.ejections, m.readmissions, m.steals, m.peerFillHits} {
 		c.Write(w)
 	}

@@ -72,7 +72,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for _, ten := range reg.All() {
 		ten.Admit(3)
-		ten.AcquireInflight()
+		ten.TryAcquireInflight()
 	}
 	for _, s := range []service.JobState{service.JobRunning, service.JobDone, service.JobDone, service.JobQueued} {
 		gw.order = append(gw.order, &fleetJob{state: s})
@@ -89,7 +89,7 @@ func TestMetricsExposition(t *testing.T) {
 	m.Affinity(true)
 	m.Affinity(true)
 	m.Affinity(false)
-	for _, c := range []*obs.Counter{m.spills, m.failovers, m.hedgesFired, m.hedgesFired, m.hedgesWon,
+	for _, c := range []*obs.Counter{m.spills, m.failovers,
 		m.probeFailures, m.ejections, m.readmissions, m.peerFillHits} {
 		c.Inc()
 	}

@@ -8,9 +8,8 @@
 // submissions of the same cell always land on the same backend. The
 // ring uses bounded-load consistent hashing — a saturated backend spills
 // to the next ring node — and the dispatcher adds failover (dead
-// backends' cells re-route and retry) and hedging (straggler cells get
-// one duplicate; the loser is cancelled, safe because both would return
-// the same bytes).
+// backends' cells re-route and retry, safe because every backend
+// returns the same bytes).
 package fleet
 
 import (

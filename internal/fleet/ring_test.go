@@ -130,7 +130,7 @@ func TestRingDistribution(t *testing.T) {
 }
 
 // TestRingSeq: seq lists every member exactly once, starting with the
-// owner (the failover and hedge order).
+// owner (the failover order).
 func TestRingSeq(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1"}
 	r := newRing(0)
