@@ -31,7 +31,7 @@ import (
 	"strings"
 
 	"pcoup/internal/experiments"
-	_ "pcoup/internal/fleet" // registers the fleetscale experiment
+	_ "pcoup/internal/fleet" // registers the fleetfair experiment
 	"pcoup/internal/machine"
 	"pcoup/internal/parexec"
 	_ "pcoup/internal/progfuzz" // registers the fuzzdiff experiment

@@ -40,14 +40,10 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address")
 	backends := flag.String("backends", "", "comma-separated pcserved base URLs (required)")
-	replicas := flag.Int("replicas", 0, "virtual nodes per backend on the hash ring (0: 128)")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "health probe cadence per backend")
 	ejectAfter := flag.Int("eject-after", 2, "consecutive probe failures before a backend is ejected")
-	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load factor c: spill past an owner above ceil(c*(inflight+1)/healthy)")
 	tenantsFile := flag.String("tenants", "", "tenant config file (JSON array of specs); empty: open access, no auth")
 	backendConcurrency := flag.Int("backend-concurrency", 0, "dispatch workers per backend (0: 8)")
-	stealChunk := flag.Int("steal-chunk", 0, "max cells stolen per steal from another backend's queue tail (0: 8)")
-	peerFill := flag.Bool("peer-fill", true, "probe the cache owner before computing a cell elsewhere")
 	highWatermark := flag.Int("high-watermark", 0, "total queued cells past which batch submissions shed (0: 4096, negative: disabled)")
 	retryBudget := flag.Int("retry-budget", 3, "attempts per cell across backends before the job fails")
 	retryBackoff := flag.Duration("retry-backoff", 200*time.Millisecond, "base backoff between failover attempts of one cell (doubles per attempt)")
@@ -72,15 +68,11 @@ func main() {
 	gw, err := fleet.New(fleet.Options{
 		Pool: fleet.PoolOptions{
 			Backends:      urls,
-			Replicas:      *replicas,
 			ProbeInterval: *probeInterval,
 			EjectAfter:    *ejectAfter,
-			LoadFactor:    *loadFactor,
 		},
 		Tenants:            tenants,
 		BackendConcurrency: *backendConcurrency,
-		StealChunk:         *stealChunk,
-		NoPeerFill:         !*peerFill,
 		HighWatermark:      *highWatermark,
 		RetryBudget:        *retryBudget,
 		RetryBackoff:       *retryBackoff,

@@ -27,7 +27,7 @@ type Experiment struct {
 	// base configuration the rows were produced under.
 	Write func(w io.Writer, cfg *machine.Config, rows any)
 	// SkipInAll excludes the experiment from "-exp all" runs (heavy
-	// meta-experiments that spawn their own daemons, like fleetscale).
+	// meta-experiments that spawn their own daemons, like fleetfair).
 	SkipInAll bool
 }
 
@@ -150,7 +150,7 @@ func Registry() []Experiment { return registry }
 
 // Register appends an experiment contributed by another package (used
 // by packages that cannot live in this one without an import cycle,
-// e.g. internal/fleet's fleetscale, which drives the service layer and
+// e.g. internal/fleet's fleetfair, which drives the service layer and
 // the service layer imports experiments). Call from init; duplicate or
 // unnamed registrations panic.
 func Register(e Experiment) {

@@ -214,37 +214,28 @@ func (g *Gateway) dispatchTask(t *task, b *Backend) (json.RawMessage, bool, erro
 }
 
 // peerFill tries to serve a content-keyed task straight from a backend
-// cache before computing anything. For a task served by its own queue,
-// that is the owner's cache (the affinity payoff) and then the next
-// ring node's — where bounded-load spill and failover would have left
-// a copy. For a stolen task, it is the thief's own cache (spills and
-// past steals leave copies off-owner) and then the original owner's, so
-// rebalancing warm work does not recompute it. Results are
+// cache before computing anything: first the worker's own cache, then
+// that of the next healthy node in the key's ring order after the
+// worker. For a task served by its owner's queue, that is the owner and
+// then its ring successor, where failover would have left a copy. For a
+// stolen task it is the thief, then the owner (the first healthy node at
+// enqueue), so rebalancing warm work does not recompute it. Results are
 // content-addressed and deterministic, so the probed bytes are
 // identical to a recompute.
 func (g *Gateway) peerFill(t *task, b *Backend) (json.RawMessage, bool) {
-	if !t.content || g.opts.NoPeerFill {
-		return nil, false
-	}
-	if b.URL == t.owner {
-		if payload, ok := g.cacheProbe(t.ctx, b, t.key); ok {
-			g.metrics.Affinity(true)
-			return payload, true
-		}
-		if peer := g.nextRingPeer(t.key, b.URL); peer != nil {
-			if payload, ok := g.cacheProbe(t.ctx, peer, t.key); ok {
-				g.metrics.peerFillHits.Inc()
-				return payload, true
-			}
-		}
+	if !t.content {
 		return nil, false
 	}
 	if payload, ok := g.cacheProbe(t.ctx, b, t.key); ok {
-		g.metrics.peerFillHits.Inc()
+		if b.URL == t.owner {
+			g.metrics.Affinity(true)
+		} else {
+			g.metrics.peerFillHits.Inc()
+		}
 		return payload, true
 	}
-	if owner := g.pool.get(t.owner); owner != nil && owner.Healthy() {
-		if payload, ok := g.cacheProbe(t.ctx, owner, t.key); ok {
+	if peer := g.pool.next(t.key, map[string]bool{b.URL: true}); peer != nil {
+		if payload, ok := g.cacheProbe(t.ctx, peer, t.key); ok {
 			g.metrics.peerFillHits.Inc()
 			return payload, true
 		}
@@ -275,21 +266,6 @@ func (g *Gateway) cacheProbe(ctx context.Context, b *Backend, key string) (json.
 		return nil, false
 	}
 	return json.RawMessage(data), true
-}
-
-// nextRingPeer returns the first healthy backend after owner in the
-// key's ring order (the spill/failover target most likely to hold a
-// stray copy).
-func (g *Gateway) nextRingPeer(key, ownerURL string) *Backend {
-	for _, url := range g.pool.seq(key) {
-		if url == ownerURL {
-			continue
-		}
-		if b := g.pool.get(url); b != nil && b.Healthy() {
-			return b
-		}
-	}
-	return nil
 }
 
 // routeKey maps a non-sweep spec to its routing key: the result's
@@ -330,11 +306,11 @@ func routeKey(spec *service.JobSpec) (string, bool) {
 
 // dispatch runs one task against the fleet: the worker's own backend
 // first (it is the queue owner or the thief — either way the planned
-// placement), then failover with bounded-load re-picks and backoff
-// across the retry budget.
+// placement), then failover to the next healthy ring node not yet tried,
+// with backoff across the retry budget.
 func (g *Gateway) dispatch(t *task, worker *Backend) (json.RawMessage, bool, error) {
 	ctx := t.ctx
-	exclude := map[string]bool{}
+	tried := map[string]bool{}
 	var lastErr error
 	for attempt := 0; attempt < g.opts.RetryBudget; attempt++ {
 		if attempt > 0 {
@@ -345,26 +321,19 @@ func (g *Gateway) dispatch(t *task, worker *Backend) (json.RawMessage, bool, err
 				return nil, false, ctx.Err()
 			}
 		}
-		var backend *Backend
-		var spilled bool
-		if attempt == 0 && worker != nil && worker.Healthy() {
-			backend = worker
-		} else {
-			var err error
-			backend, spilled, err = g.pool.pick(t.key, exclude)
-			if errors.Is(err, ErrNoBackends) && len(exclude) > 0 {
+		backend := worker
+		if attempt > 0 || !worker.Healthy() {
+			backend = g.pool.next(t.key, tried)
+			if backend == nil && len(tried) > 0 {
 				// Every untried backend is down; widen the net and let the
 				// prober re-admit whatever recovers.
-				exclude = map[string]bool{}
-				backend, spilled, err = g.pool.pick(t.key, exclude)
+				tried = map[string]bool{}
+				backend = g.pool.next(t.key, tried)
 			}
-			if err != nil {
-				lastErr = err
+			if backend == nil {
+				lastErr = ErrNoBackends
 				continue
 			}
-		}
-		if spilled {
-			g.metrics.spills.Inc()
 		}
 		payload, hit, err := g.attempt(ctx, backend, t)
 		switch {
@@ -379,11 +348,8 @@ func (g *Gateway) dispatch(t *task, worker *Backend) (json.RawMessage, bool, err
 				return nil, false, perm.err
 			}
 			lastErr = err
-			exclude[backend.URL] = true
+			tried[backend.URL] = true
 		}
-	}
-	if lastErr == nil {
-		lastErr = ErrNoBackends
 	}
 	return nil, false, fmt.Errorf("after %d attempts: %w", g.opts.RetryBudget, lastErr)
 }

@@ -28,10 +28,10 @@ import (
 // This mirrors the paper's split: the ring is the compile-time
 // placement, DRR + stealing are the runtime arbitration.
 
-// defaultStealChunk bounds how many cells move per steal. Chunked
-// stealing amortizes the lock while leaving work behind for the
-// victim's own (cache-warm) workers.
-const defaultStealChunk = 8
+// stealChunk bounds how many cells move per steal. Chunked stealing
+// amortizes the lock while leaving work behind for the victim's own
+// (cache-warm) workers.
+const stealChunk = 8
 
 // taskResult is delivered to the job's single consumer goroutine.
 type taskResult struct {
@@ -121,19 +121,14 @@ type dispatcher struct {
 	cond    *sync.Cond
 	queues  map[string]*backendQueue
 	order   []string // stable iteration order for stealing
-	chunk   int
 	closed  bool
 	total   int
 	metrics *Metrics
 }
 
-func newDispatcher(backends []string, stealChunk int, m *Metrics) *dispatcher {
-	if stealChunk <= 0 {
-		stealChunk = defaultStealChunk
-	}
+func newDispatcher(backends []string, m *Metrics) *dispatcher {
 	d := &dispatcher{
 		queues:  make(map[string]*backendQueue, len(backends)),
-		chunk:   stealChunk,
 		metrics: m,
 	}
 	d.cond = sync.NewCond(&d.mu)
@@ -250,7 +245,7 @@ func (d *dispatcher) popClassLocked(bq *backendQueue, cq *classQueue) *task {
 	return nil
 }
 
-// stealLocked moves up to chunk tasks from the tail of the deepest
+// stealLocked moves up to stealChunk tasks from the tail of the deepest
 // other backend queue into url's queue. Returns true if anything moved.
 func (d *dispatcher) stealLocked(url string) bool {
 	var victim *backendQueue
@@ -272,7 +267,7 @@ func (d *dispatcher) stealLocked(url string) bool {
 	if victim == nil {
 		return false
 	}
-	want := d.chunk
+	want := stealChunk
 	if half := victim.depth / 2; want > half {
 		want = half
 	}

@@ -43,7 +43,7 @@ func mkTasks(ten *tenant.Tenant, owner string, n int) []*task {
 func TestDRRWeightRatios(t *testing.T) {
 	heavy := testTenant(t, tenant.Spec{Name: "heavy", Weight: 3})
 	light := testTenant(t, tenant.Spec{Name: "light", Weight: 1})
-	d := newDispatcher([]string{"b"}, 0, NewMetrics())
+	d := newDispatcher([]string{"b"}, NewMetrics())
 	d.enqueue(mkTasks(heavy, "b", 400))
 	d.enqueue(mkTasks(light, "b", 400))
 
@@ -69,7 +69,7 @@ func TestDRRWeightRatios(t *testing.T) {
 func TestStarvationFreedom(t *testing.T) {
 	flood := testTenant(t, tenant.Spec{Name: "flood", Weight: 100})
 	small := testTenant(t, tenant.Spec{Name: "small", Weight: 1})
-	d := newDispatcher([]string{"b"}, 0, NewMetrics())
+	d := newDispatcher([]string{"b"}, NewMetrics())
 	d.enqueue(mkTasks(flood, "b", 1000))
 	d.enqueue(mkTasks(small, "b", 5))
 
@@ -98,7 +98,7 @@ func TestStarvationFreedom(t *testing.T) {
 func TestClassPriorityPreempts(t *testing.T) {
 	batch := testTenant(t, tenant.Spec{Name: "bt", Class: tenant.Batch, Weight: 100})
 	inter := testTenant(t, tenant.Spec{Name: "it", Weight: 1})
-	d := newDispatcher([]string{"b"}, 0, NewMetrics())
+	d := newDispatcher([]string{"b"}, NewMetrics())
 	d.enqueue(mkTasks(batch, "b", 50))
 
 	// Batch drains until interactive work arrives...
@@ -125,7 +125,7 @@ func TestClassPriorityPreempts(t *testing.T) {
 func TestStealTakesTailChunk(t *testing.T) {
 	ten := testTenant(t, tenant.Spec{Name: "a"})
 	m := NewMetrics()
-	d := newDispatcher([]string{"A", "B"}, 0, m)
+	d := newDispatcher([]string{"A", "B"}, m)
 	d.enqueue(mkTasks(ten, "A", 20))
 
 	// B is idle: its pop steals a chunk (min(8, 20/2) = 8) from A's tail.
@@ -153,7 +153,7 @@ func TestStealTakesTailChunk(t *testing.T) {
 
 func TestStealSkipsSingletonQueue(t *testing.T) {
 	ten := testTenant(t, tenant.Spec{Name: "a"})
-	d := newDispatcher([]string{"A", "B"}, 0, NewMetrics())
+	d := newDispatcher([]string{"A", "B"}, NewMetrics())
 	d.enqueue(mkTasks(ten, "A", 1))
 	if got := d.tryNext("B"); got != nil {
 		t.Fatalf("stole the victim's only task: %+v", got)
@@ -165,7 +165,7 @@ func TestStealSkipsSingletonQueue(t *testing.T) {
 
 func TestInflightQuotaGatesPop(t *testing.T) {
 	capped := testTenant(t, tenant.Spec{Name: "capped", MaxInflightCells: 1})
-	d := newDispatcher([]string{"b"}, 0, NewMetrics())
+	d := newDispatcher([]string{"b"}, NewMetrics())
 	d.enqueue(mkTasks(capped, "b", 3))
 
 	first := d.tryNext("b")
@@ -184,7 +184,7 @@ func TestInflightQuotaGatesPop(t *testing.T) {
 func TestQuotaBlockedTenantDoesNotBlockOthers(t *testing.T) {
 	capped := testTenant(t, tenant.Spec{Name: "capped", MaxInflightCells: 1})
 	free := testTenant(t, tenant.Spec{Name: "free"})
-	d := newDispatcher([]string{"b"}, 0, NewMetrics())
+	d := newDispatcher([]string{"b"}, NewMetrics())
 	d.enqueue(mkTasks(capped, "b", 5))
 	d.enqueue(mkTasks(free, "b", 5))
 
@@ -222,7 +222,7 @@ func TestQuotaBlockedTenantDoesNotBlockOthers(t *testing.T) {
 // class, so DRR serves cells in enqueue order, across jobs.
 func TestSingleTenantKeepsOrder(t *testing.T) {
 	ten := testTenant(t, tenant.Spec{Name: "a"})
-	d := newDispatcher([]string{"x"}, 0, NewMetrics())
+	d := newDispatcher([]string{"x"}, NewMetrics())
 	want := append(mkTasks(ten, "x", 3), mkTasks(ten, "x", 3)...)
 	d.enqueue(want[:3])
 	d.enqueue(want[3:])
@@ -237,7 +237,7 @@ func TestSingleTenantKeepsOrder(t *testing.T) {
 }
 
 func TestCloseWakesWorkers(t *testing.T) {
-	d := newDispatcher([]string{"b"}, 0, NewMetrics())
+	d := newDispatcher([]string{"b"}, NewMetrics())
 	done := make(chan *task, 1)
 	go func() { done <- d.next("b") }()
 	d.close()

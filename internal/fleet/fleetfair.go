@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -26,7 +28,9 @@ import (
 // schedule, DRR the runtime scheduler reordering around a stalled
 // (here: flooded) resource. Every submission carries a distinct
 // cycle budget so nothing is served from cache — the measurement is
-// queueing, not cache luck.
+// queueing, not cache luck. It lives in package fleet because the
+// service layer imports internal/experiments; pcbench links it in via a
+// blank import.
 func init() {
 	experiments.Register(experiments.Experiment{
 		Name:      "fleetfair",
@@ -164,6 +168,29 @@ func fleetFairOne(ctx context.Context, n int, sched string) (*FleetFairRow, erro
 		FloodP99MS: durMS(sortedQuantile(flooded, 0.99)),
 		Steals:     gw.Metrics().Steals(),
 	}, nil
+}
+
+// startLocalBackend boots one in-process pcserved (loopback listener,
+// cold cache) and returns its base URL plus a stop function.
+func startLocalBackend() (string, func(), error) {
+	srv := service.New(service.Options{})
+	if err := srv.Start(); err != nil {
+		return "", nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Shutdown(context.Background())
+		return "", nil, err
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
+	go httpSrv.Serve(ln)
+	stop := func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(sctx)
+		httpSrv.Shutdown(context.Background())
+	}
+	return "http://" + ln.Addr().String(), stop, nil
 }
 
 // fleetFairSample runs sequential interactive single-cell jobs and

@@ -32,12 +32,6 @@ type Options struct {
 	// BackendConcurrency is the worker count per backend draining the
 	// tenant-fair dispatch queues (default 8).
 	BackendConcurrency int
-	// StealChunk bounds the cells moved per work-stealing transfer from a
-	// saturated backend's queue tail to an idle backend (default 8).
-	StealChunk int
-	// NoPeerFill disables the distributed cache probe (owner's cache,
-	// then the next ring node's) before computing a cell.
-	NoPeerFill bool
 	// HighWatermark is the global queued-cell count above which new batch
 	// submissions are shed with 429; above twice the mark every class is
 	// shed (default 4096; negative disables).
@@ -111,7 +105,7 @@ func New(opts Options) (*Gateway, error) {
 		opts:       opts,
 		pool:       pool,
 		tenants:    opts.Tenants,
-		disp:       newDispatcher(opts.Pool.Backends, opts.StealChunk, m),
+		disp:       newDispatcher(opts.Pool.Backends, m),
 		metrics:    m,
 		client:     &http.Client{},
 		probe:      &http.Client{Timeout: 2 * time.Second},

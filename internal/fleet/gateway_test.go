@@ -157,13 +157,7 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 	refURL, _, _ := startBackend(t, service.Options{})
 	urlA, _, _ := startBackend(t, service.Options{})
 	urlB, _, _ := startBackend(t, service.Options{})
-	// A high load factor keeps every cell on its ring owner: bounded-load
-	// spills would seed the "wrong" backend's cache and make the repeat's
-	// hit accounting timing-dependent (spill picking itself is covered
-	// deterministically in pool_test.go).
-	gw, gwTS := startGateway(t, []string{urlA, urlB}, func(o *Options) {
-		o.Pool.LoadFactor = 8
-	})
+	gw, gwTS := startGateway(t, []string{urlA, urlB}, nil)
 
 	spec := service.JobSpec{Sweep: &testSweep}
 

@@ -19,7 +19,6 @@ type Metrics struct {
 	dispatched      *obs.CounterVec // cells dispatched per backend URL
 	affinityLookups *obs.Counter    // cells routed by content key
 	affinityHits    *obs.Counter    // ... that the routed backend served from cache
-	spills          *obs.Counter
 	failovers       *obs.Counter
 	probeFailures   *obs.Counter
 	ejections       *obs.Counter
@@ -36,7 +35,6 @@ func NewMetrics() *Metrics {
 		dispatched:      obs.NewCounterVec("pcfleet_cells_dispatched_total", "Cells dispatched per backend.", "backend", 0),
 		affinityLookups: obs.NewCounter("pcfleet_affinity_lookups_total", "Content-key-routed dispatches."),
 		affinityHits:    obs.NewCounter("pcfleet_affinity_hits_total", "Dispatches the routed backend served from its cache."),
-		spills:          obs.NewCounter("pcfleet_spills_total", "Bounded-load spills past a saturated ring owner."),
 		failovers:       obs.NewCounter("pcfleet_failovers_total", "Attempts re-routed after a backend failure."),
 		probeFailures:   obs.NewCounter("pcfleet_probe_failures_total", "Failed backend health probes."),
 		ejections:       obs.NewCounter("pcfleet_backend_ejections_total", "Backends ejected after failed probes or dispatch errors."),
@@ -137,7 +135,7 @@ func (g *Gateway) writeMetrics(w io.Writer) {
 	if lookups, hits := m.AffinityStats(); lookups > 0 {
 		obs.Gauge(w, "pcfleet_affinity_hit_ratio", "Affinity hits over lookups since start.").Float(float64(hits) / float64(lookups))
 	}
-	for _, c := range []*obs.Counter{m.spills, m.failovers,
+	for _, c := range []*obs.Counter{m.failovers,
 		m.probeFailures, m.ejections, m.readmissions, m.steals, m.peerFillHits} {
 		c.Write(w)
 	}

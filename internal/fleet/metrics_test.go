@@ -89,7 +89,7 @@ func TestMetricsExposition(t *testing.T) {
 	m.Affinity(true)
 	m.Affinity(true)
 	m.Affinity(false)
-	for _, c := range []*obs.Counter{m.spills, m.failovers,
+	for _, c := range []*obs.Counter{m.failovers,
 		m.probeFailures, m.ejections, m.readmissions, m.peerFillHits} {
 		c.Inc()
 	}

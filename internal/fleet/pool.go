@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -38,13 +37,6 @@ func (b *Backend) Healthy() bool {
 	return b.healthy
 }
 
-// Inflight returns the gateway's in-flight dispatch count to the backend.
-func (b *Backend) Inflight() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.inflight
-}
-
 func (b *Backend) acquire() {
 	b.mu.Lock()
 	b.inflight++
@@ -61,8 +53,6 @@ func (b *Backend) release() {
 type PoolOptions struct {
 	// Backends are the pcserved base URLs fronted by the gateway.
 	Backends []string
-	// Replicas is the virtual-node count per backend (default 128).
-	Replicas int
 	// ProbeInterval is the /readyz cadence for healthy backends
 	// (default 500ms).
 	ProbeInterval time.Duration
@@ -75,10 +65,6 @@ type PoolOptions struct {
 	// re-admission probes start at ProbeInterval and double up to this
 	// (default 8s), so a flapping backend is not hammered.
 	ReadmitMaxBackoff time.Duration
-	// LoadFactor is the bounded-load constant c: a backend is saturated
-	// when its in-flight count exceeds ceil(c * (total+1) / healthy), and
-	// keys spill to the next ring node (default 1.25).
-	LoadFactor float64
 }
 
 func (o *PoolOptions) defaults() {
@@ -93,9 +79,6 @@ func (o *PoolOptions) defaults() {
 	}
 	if o.ReadmitMaxBackoff <= 0 {
 		o.ReadmitMaxBackoff = 8 * time.Second
-	}
-	if o.LoadFactor < 1 {
-		o.LoadFactor = 1.25
 	}
 }
 
@@ -125,7 +108,7 @@ func newPool(opts PoolOptions, m *Metrics) (*Pool, error) {
 		opts:     opts,
 		client:   &http.Client{Timeout: opts.ProbeTimeout},
 		metrics:  m,
-		ring:     newRing(opts.Replicas),
+		ring:     newRing(),
 		backends: map[string]*Backend{},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -285,16 +268,6 @@ func (p *Pool) all() []*Backend {
 	return out
 }
 
-func (p *Pool) healthyCount() int {
-	n := 0
-	for _, b := range p.all() {
-		if b.Healthy() {
-			n++
-		}
-	}
-	return n
-}
-
 // get returns the backend for a URL (nil if unknown).
 func (p *Pool) get(url string) *Backend {
 	p.mu.Lock()
@@ -310,63 +283,31 @@ func (p *Pool) seq(key string) []string {
 	return p.ring.seq(key)
 }
 
+// next returns the first healthy backend in key's ring order (owner
+// first) that is not in exclude, or nil if there is none. It is the
+// gateway's one placement rule: queue homes, failover re-picks and
+// peer-fill probes all walk the ring this way.
+func (p *Pool) next(key string, exclude map[string]bool) *Backend {
+	for _, url := range p.seq(key) {
+		if exclude[url] {
+			continue
+		}
+		if b := p.get(url); b != nil && b.Healthy() {
+			return b
+		}
+	}
+	return nil
+}
+
 // ownerURL returns the dispatch-queue home for a key: the first healthy
 // backend in ring order, else the unconditional ring owner (its queue
 // drains by stealing until the owner returns).
 func (p *Pool) ownerURL(key string) string {
-	seq := p.seq(key)
-	for _, url := range seq {
-		if b := p.get(url); b != nil && b.Healthy() {
-			return url
-		}
+	if b := p.next(key, nil); b != nil {
+		return b.URL
 	}
-	if len(seq) > 0 {
+	if seq := p.seq(key); len(seq) > 0 {
 		return seq[0]
 	}
 	return ""
-}
-
-// candidates returns the healthy backends in key's ring order (owner
-// first), excluding the given URLs.
-func (p *Pool) candidates(key string, exclude map[string]bool) []*Backend {
-	p.mu.Lock()
-	seq := p.ring.seq(key)
-	p.mu.Unlock()
-	out := make([]*Backend, 0, len(seq))
-	for _, url := range seq {
-		if exclude[url] {
-			continue
-		}
-		p.mu.Lock()
-		b := p.backends[url]
-		p.mu.Unlock()
-		if b != nil && b.Healthy() {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// pick chooses the backend for key under bounded-load consistent
-// hashing: the first healthy ring node with in-flight work below
-// capacity, spilling clockwise past saturated nodes. The second return
-// reports whether the pick spilled past a saturated candidate.
-func (p *Pool) pick(key string, exclude map[string]bool) (*Backend, bool, error) {
-	cands := p.candidates(key, exclude)
-	if len(cands) == 0 {
-		return nil, false, ErrNoBackends
-	}
-	total := 0
-	for _, b := range cands {
-		total += b.Inflight()
-	}
-	capacity := int(math.Ceil(p.opts.LoadFactor * float64(total+1) / float64(len(cands))))
-	for i, b := range cands {
-		if b.Inflight() < capacity {
-			return b, i > 0, nil
-		}
-	}
-	// Everyone is saturated (possible transiently between the capacity
-	// read and the walk): the owner absorbs the overload.
-	return cands[0], false, nil
 }

@@ -23,72 +23,30 @@ func testPool(t *testing.T, opts PoolOptions) *Pool {
 	return p
 }
 
-// TestPickBoundedLoadSpill: a saturated owner spills its key to the next
-// ring node; an unsaturated owner keeps it.
-func TestPickBoundedLoadSpill(t *testing.T) {
-	p := testPool(t, PoolOptions{Backends: []string{"http://a:1", "http://b:1"}, LoadFactor: 1.25})
-
-	const key = "some-content-key"
-	owner, spilled, err := p.pick(key, nil)
-	if err != nil || spilled {
-		t.Fatalf("idle pick: owner=%v spilled=%v err=%v", owner, spilled, err)
-	}
-	if owner.URL != p.ring.owner(key) {
-		t.Fatalf("idle pick chose %s, ring owner is %s", owner.URL, p.ring.owner(key))
-	}
-
-	// Saturate the owner far past any capacity the other's load allows.
-	owner.mu.Lock()
-	owner.inflight = 100
-	owner.mu.Unlock()
-	got, spilled, err := p.pick(key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spilled || got.URL == owner.URL {
-		t.Fatalf("saturated owner not spilled: got %s, spilled=%v", got.URL, spilled)
-	}
-
-	// Both saturated: the owner absorbs the overload rather than failing.
-	got.mu.Lock()
-	got.inflight = 100
-	got.mu.Unlock()
-	final, spilled, err := p.pick(key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.URL != owner.URL || spilled {
-		t.Fatalf("fully saturated pool: got %s spilled=%v, want owner %s", final.URL, spilled, owner.URL)
-	}
-}
-
-// TestPickSkipsUnhealthyAndExcluded: ejected and explicitly excluded
-// backends never receive work; an empty candidate set is ErrNoBackends.
-func TestPickSkipsUnhealthyAndExcluded(t *testing.T) {
+// TestNextSkipsUnhealthyAndExcluded: next walks the key's ring order
+// from the owner, skipping ejected and excluded backends, and returns
+// nil once none is left.
+func TestNextSkipsUnhealthyAndExcluded(t *testing.T) {
 	p := testPool(t, PoolOptions{Backends: []string{"http://a:1", "http://b:1", "http://c:1"}})
 	const key = "another-key"
-	owner := p.ring.owner(key)
+	seq := p.ring.seq(key)
 
-	p.markDown(p.backends[owner], nil)
-	got, _, err := p.pick(key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.URL == owner {
-		t.Fatalf("pick routed to ejected owner %s", owner)
+	if got := p.next(key, nil); got == nil || got.URL != seq[0] {
+		t.Fatalf("next = %v, want the ring owner %s", got, seq[0])
 	}
 
-	// Exclude the failover target too; the last backend must be picked.
-	got2, _, err := p.pick(key, map[string]bool{got.URL: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.URL == got.URL || got2.URL == owner {
-		t.Fatalf("pick ignored exclusion: %s", got2.URL)
+	p.markDown(p.backends[seq[0]], nil)
+	if got := p.next(key, nil); got == nil || got.URL != seq[1] {
+		t.Fatalf("next past the ejected owner = %v, want %s", got, seq[1])
 	}
 
-	if _, _, err := p.pick(key, map[string]bool{got.URL: true, got2.URL: true}); err != ErrNoBackends {
-		t.Fatalf("exhausted pool: err=%v, want ErrNoBackends", err)
+	// Exclude the failover target too; the last backend must be next.
+	if got := p.next(key, map[string]bool{seq[1]: true}); got == nil || got.URL != seq[2] {
+		t.Fatalf("next ignored the exclusion: %v, want %s", got, seq[2])
+	}
+
+	if got := p.next(key, map[string]bool{seq[1]: true, seq[2]: true}); got != nil {
+		t.Fatalf("exhausted pool: next = %s, want nil", got.URL)
 	}
 }
 

@@ -5,10 +5,10 @@
 // Results are content-addressed and byte-identical across runs (see
 // internal/service), so routing a cell by its content key gives every
 // backend a naturally hot, disjoint shard of the result cache: repeat
-// submissions of the same cell always land on the same backend. The
-// ring uses bounded-load consistent hashing — a saturated backend spills
-// to the next ring node — and the dispatcher adds failover (dead
-// backends' cells re-route and retry, safe because every backend
+// submissions of the same cell always land on the same backend. One
+// rule places work: the first healthy backend in the key's ring order,
+// skipping an exclude set (Pool.next). The dispatcher adds failover
+// (dead backends' cells re-route and retry, safe because every backend
 // returns the same bytes).
 package fleet
 
@@ -18,18 +18,17 @@ import (
 	"strconv"
 )
 
-// defaultReplicas is the number of virtual nodes per backend. More
-// replicas smooth the key distribution; 128 keeps the worst backend
-// within a few percent of the mean for small pools.
-const defaultReplicas = 128
+// replicas is the number of virtual nodes per backend. More replicas
+// smooth the key distribution; 128 keeps the worst backend within a few
+// percent of the mean for small pools.
+const replicas = 128
 
 // ring is a consistent-hash ring over backend names. It is not
 // goroutine-safe; the pool guards it.
 type ring struct {
-	replicas int
-	members  []string            // sorted, for deterministic rebuilds
-	points   []ringPoint         // sorted by hash
-	index    map[string]struct{} // membership
+	members []string            // sorted, for deterministic rebuilds
+	points  []ringPoint         // sorted by hash
+	index   map[string]struct{} // membership
 }
 
 type ringPoint struct {
@@ -37,11 +36,8 @@ type ringPoint struct {
 	member string
 }
 
-func newRing(replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
-	return &ring{replicas: replicas, index: map[string]struct{}{}}
+func newRing() *ring {
+	return &ring{index: map[string]struct{}{}}
 }
 
 // hashKey is FNV-64a: deterministic across processes and restarts, so a
@@ -81,7 +77,7 @@ func (r *ring) remove(member string) {
 func (r *ring) rebuild() {
 	r.points = r.points[:0]
 	for _, m := range r.members {
-		for i := 0; i < r.replicas; i++ {
+		for i := 0; i < replicas; i++ {
 			r.points = append(r.points, ringPoint{hashKey(m + "#" + strconv.Itoa(i)), m})
 		}
 	}
@@ -104,8 +100,8 @@ func (r *ring) owner(key string) string {
 }
 
 // seq returns every member once, in ring order starting from key's
-// successor. seq[0] is the key's owner; the rest are the spill/failover
-// order (each subsequent entry is the next distinct node clockwise).
+// successor. seq[0] is the key's owner; the rest are the failover order
+// (each subsequent entry is the next distinct node clockwise).
 func (r *ring) seq(key string) []string {
 	if len(r.points) == 0 {
 		return nil

@@ -27,7 +27,7 @@ func owners(r *ring, keys []string) map[string]string {
 // ejection).
 func TestRingLeaveMovesOnlyOrphanedKeys(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
-	r := newRing(0)
+	r := newRing()
 	for _, m := range members {
 		r.add(m)
 	}
@@ -60,7 +60,7 @@ func TestRingLeaveMovesOnlyOrphanedKeys(t *testing.T) {
 // them, never to a different old member.
 func TestRingJoinBoundedMovement(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
-	r := newRing(0)
+	r := newRing()
 	for _, m := range members {
 		r.add(m)
 	}
@@ -92,7 +92,7 @@ func TestRingJoinBoundedMovement(t *testing.T) {
 // cache shard routed back to them).
 func TestRingRejoinRestoresOwnership(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := newRing(0)
+	r := newRing()
 	for _, m := range members {
 		r.add(m)
 	}
@@ -112,7 +112,7 @@ func TestRingRejoinRestoresOwnership(t *testing.T) {
 // disproportionate share.
 func TestRingDistribution(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
-	r := newRing(0)
+	r := newRing()
 	for _, m := range members {
 		r.add(m)
 	}
@@ -133,7 +133,7 @@ func TestRingDistribution(t *testing.T) {
 // owner (the failover order).
 func TestRingSeq(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := newRing(0)
+	r := newRing()
 	for _, m := range members {
 		r.add(m)
 	}
@@ -157,7 +157,7 @@ func TestRingSeq(t *testing.T) {
 
 // TestRingEmpty: an empty ring owns nothing and panics nowhere.
 func TestRingEmpty(t *testing.T) {
-	r := newRing(0)
+	r := newRing()
 	if got := r.owner("k"); got != "" {
 		t.Fatalf("empty ring owner = %q, want empty", got)
 	}

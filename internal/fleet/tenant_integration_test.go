@@ -2,13 +2,16 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -200,8 +203,69 @@ func TestPeerFillServesWarmCacheAcrossRing(t *testing.T) {
 	}
 }
 
+// TestPeerFillProbeOrder pins which backend caches peerFill asks, in
+// order: a task served from its owner's queue probes the owner, then the
+// next ring node; a stolen task probes the thief, then the owner; a task
+// without a content key probes nothing.
+func TestPeerFillProbeOrder(t *testing.T) {
+	var mu sync.Mutex
+	var probes []string
+	var urls []string
+	for i := 0; i < 3; i++ {
+		var self string
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == "GET" && strings.HasPrefix(r.URL.Path, "/v1/cache/") {
+				mu.Lock()
+				probes = append(probes, self)
+				mu.Unlock()
+			}
+			http.NotFound(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		self = ts.URL
+		urls = append(urls, self)
+	}
+	gw, err := New(Options{Pool: PoolOptions{Backends: urls}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range gw.pool.all() { // admitted without a prober
+		b.mu.Lock()
+		b.healthy = true
+		b.mu.Unlock()
+	}
+
+	const key = "probe-order-key"
+	seq := gw.pool.seq(key)
+	for _, tc := range []struct {
+		name    string
+		worker  string
+		content bool
+		want    []string
+	}{
+		{"owner-served", seq[0], true, []string{seq[0], seq[1]}},
+		{"stolen", seq[2], true, []string{seq[2], seq[0]}},
+		{"non-content", seq[0], false, nil},
+	} {
+		mu.Lock()
+		probes = nil
+		mu.Unlock()
+		tk := &task{ctx: context.Background(), key: key, content: tc.content, owner: seq[0]}
+		if _, ok := gw.peerFill(tk, gw.pool.get(tc.worker)); ok {
+			t.Fatalf("%s: peerFill hit on caches that hold nothing", tc.name)
+		}
+		mu.Lock()
+		got := probes
+		mu.Unlock()
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: probed %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // gateProxy fronts a backend and calls wait before forwarding each
-// job-API request; probes pass straight through.
+// job-API request; health and peer-fill cache probes pass straight
+// through.
 func gateProxy(t *testing.T, target string, wait func()) string {
 	t.Helper()
 	u, err := url.Parse(target)
@@ -210,7 +274,7 @@ func gateProxy(t *testing.T, target string, wait func()) string {
 	}
 	rp := httputil.NewSingleHostReverseProxy(u)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/") {
+		if strings.HasPrefix(r.URL.Path, "/v1/") && !strings.HasPrefix(r.URL.Path, "/v1/cache/") {
 			wait()
 		}
 		rp.ServeHTTP(w, r)
@@ -272,11 +336,8 @@ func TestStealPreservesByteIdenticalStream(t *testing.T) {
 
 	// One worker per backend: the straggler's cells sit in its queue
 	// (stealable) instead of being scattered into in-flight requests.
-	// Peer-fill is off so the fast backend's cells don't ride probe
-	// round-trips through the held proxy.
 	gw, gwTS := startGateway(t, proxies[:], func(o *Options) {
 		o.BackendConcurrency = 1
-		o.NoPeerFill = true
 	})
 	gwp.Store(gw)
 
@@ -332,7 +393,6 @@ func TestInteractivePreemptsBatchBacklog(t *testing.T) {
 	_, gwTS := startGateway(t, []string{slowA}, func(o *Options) {
 		o.Tenants = testRegistry(t, nil)
 		o.BackendConcurrency = 1
-		o.NoPeerFill = true // every cell rides the slow dispatch path
 	})
 
 	batchSpec, _ := json.Marshal(service.JobSpec{Sweep: &testSweep})

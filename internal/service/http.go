@@ -224,11 +224,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // fleet gateway uses this as the peer-fill probe: before computing a
 // cell it owns (or stole), it asks the cell's cache home whether the
 // bytes already exist. Payloads are content-addressed, so serving them
-// cross-node cannot change results. Lookups go through Get, not Peek:
-// a served payload is a genuine hit and should refresh LRU recency.
+// cross-node cannot change results. The probe decides with Peek, so a
+// miss leaves the miss counter to the job that computes the cell, and
+// serves with Get: a served payload is a genuine hit and refreshes LRU
+// recency.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	payload, ok := s.cache.Get(key)
+	payload, ok := s.cache.Peek(key)
+	if ok {
+		payload, ok = s.cache.Get(key)
+	}
 	if !ok {
 		w.Header().Set("X-PC-Cache", "miss")
 		writeError(w, http.StatusNotFound, errors.New("cache: no entry for key"))

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -131,5 +132,47 @@ func TestCacheEvictionMetric(t *testing.T) {
 	}
 	if n := metricValue(t, ts, "pcserved_cache_bytes"); n <= 0 {
 		t.Fatalf("cache bytes = %v, want > 0", n)
+	}
+}
+
+// TestCacheProbeCountsOnlyHits: a GET /v1/cache/ probe that misses
+// leaves the miss counter alone (the job that computes the cell counts
+// it), while a probe that hits counts the hit and refreshes recency.
+func TestCacheProbeCountsOnlyHits(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1, CacheMaxEntries: 2})
+	srv.cache.Put("a", []byte(`{"a":1}`))
+	srv.cache.Put("b", []byte(`{"b":1}`)) // a is now least recently used
+
+	probe := func(key string, wantStatus int, wantCache, wantBody string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/cache/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != wantStatus || resp.Header.Get("X-PC-Cache") != wantCache {
+			t.Fatalf("probe %s: status %d X-PC-Cache %q, want %d %q", key, resp.StatusCode, resp.Header.Get("X-PC-Cache"), wantStatus, wantCache)
+		}
+		if wantBody != "" && string(body) != wantBody {
+			t.Fatalf("probe %s: body %s, want %s", key, body, wantBody)
+		}
+	}
+
+	probe("absent", http.StatusNotFound, "miss", "")
+	if n := metricValue(t, ts, "pcserved_cache_misses_total"); n != 0 {
+		t.Fatalf("a missing probe counted %v misses, want 0", n)
+	}
+	probe("a", http.StatusOK, "hit", `{"a":1}`)
+	if n := metricValue(t, ts, "pcserved_cache_hits_total"); n != 1 {
+		t.Fatalf("a hitting probe counted %v hits, want 1", n)
+	}
+	// The hit made a the most recent entry, so the next insert evicts b.
+	srv.cache.Put("c", []byte(`{"c":1}`))
+	if _, ok := srv.cache.Peek("a"); !ok {
+		t.Fatal("probed entry a was evicted: the hit did not refresh its recency")
+	}
+	if _, ok := srv.cache.Peek("b"); ok {
+		t.Fatal("entry b survived: it should have been the LRU victim")
 	}
 }
