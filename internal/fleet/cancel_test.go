@@ -13,13 +13,16 @@ import (
 	"pcoup/internal/service"
 )
 
-// fakeBackend is a scripted pcserved stand-in: jobs "finish" instantly
-// unless the backend is stalled, in which case streams hang until the
-// client gives up. It counts stream requests and records DELETEs so
-// tests can assert that cancellations reach the backend.
+// fakeBackend is a scripted pcserved stand-in that speaks the streaming
+// POST: it names the job in X-PC-Job, flushes, and then "finishes" the
+// job at once — unless the backend is stalled, in which case the stream
+// hangs until the client gives up. It counts submissions and job GETs
+// and records DELETEs, so tests can assert what one dispatch costs and
+// that cancellations reach the backend.
 type fakeBackend struct {
 	stalled atomic.Bool
-	streams atomic.Int64
+	posts   atomic.Int64
+	gets    atomic.Int64
 
 	mu      sync.Mutex
 	nextID  int
@@ -39,31 +42,26 @@ func (f *fakeBackend) handler() http.Handler {
 		json.NewEncoder(w).Encode(service.Health{Status: "ready", Accepting: true, Workers: 1})
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		f.posts.Add(1)
 		f.mu.Lock()
 		f.nextID++
 		id := fmt.Sprintf("x-%06d", f.nextID)
 		f.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(service.JobView{ID: id, State: service.JobQueued})
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(service.JobView{
-			ID: r.PathValue("id"), State: service.JobDone, CacheHit: false,
-		})
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		f.streams.Add(1)
+		w.Header().Set("X-PC-Job", id)
 		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.(http.Flusher).Flush()
 		if f.stalled.Load() {
-			if fl, ok := w.(http.Flusher); ok {
-				fl.Flush() // headers out, then hang like a straggler
-			}
-			<-r.Context().Done()
+			<-r.Context().Done() // hang like a straggler
 			return
 		}
 		fmt.Fprintf(w, "{\"v\":1}\n{\"state\":\"done\"}\n")
 	})
+	countGet := func(w http.ResponseWriter, r *http.Request) {
+		f.gets.Add(1)
+		http.Error(w, "the gateway should not need this", http.StatusGone)
+	}
+	mux.HandleFunc("GET /v1/jobs/{id}", countGet)
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", countGet)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		f.deletes = append(f.deletes, r.PathValue("id"))
@@ -73,10 +71,26 @@ func (f *fakeBackend) handler() http.Handler {
 	return mux
 }
 
+// jobIDSeen counts dispatch responses that named their backend job, so
+// a test can wait until the gateway knows the ID a DELETE would need.
+type jobIDSeen struct {
+	http.RoundTripper
+	n atomic.Int64
+}
+
+func (s *jobIDSeen) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := s.RoundTripper.RoundTrip(req)
+	if err == nil && resp.Header.Get("X-PC-Job") != "" {
+		s.n.Add(1)
+	}
+	return resp, err
+}
+
 // TestCancelReachesStalledBackend: cancelling a gateway job whose cell
 // is stuck on a backend that stalls (but still passes health probes)
 // finishes the job promptly, DELETEs the backend job exactly once, and
-// leaves the slow backend admitted — slow is not dead.
+// leaves the slow backend admitted — slow is not dead. A computed cell
+// then costs exactly one POST and no job GET.
 func TestCancelReachesStalledBackend(t *testing.T) {
 	fakes := map[string]*fakeBackend{}
 	var urls []string
@@ -88,6 +102,8 @@ func TestCancelReachesStalledBackend(t *testing.T) {
 		urls = append(urls, ts.URL)
 	}
 	gw, _ := startGateway(t, urls, nil)
+	seen := &jobIDSeen{RoundTripper: gw.client.Transport}
+	gw.client.Transport = seen
 
 	spec := service.JobSpec{Cell: &service.CellSpec{Bench: "fft", Mode: "TPE"}}
 	key, _ := routeKey(&spec)
@@ -100,7 +116,7 @@ func TestCancelReachesStalledBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for stalled.streams.Load() == 0 {
+	for seen.n.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the cell never reached its stalled owner")
 		}
@@ -132,5 +148,34 @@ func TestCancelReachesStalledBackend(t *testing.T) {
 	}
 	if !owner.Healthy() {
 		t.Fatal("stalled backend was ejected by a cancellation")
+	}
+
+	stalled.stalled.Store(false)
+	posts := func() (n int64) {
+		for _, f := range fakes {
+			n += f.posts.Load()
+		}
+		return n
+	}
+	before := posts()
+	job, err = gw.Submit(service.JobSpec{Cell: &service.CellSpec{Bench: "matrix", Mode: "SEQ"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("computed cell never finished")
+	}
+	if v := job.view(false); v.State != service.JobDone {
+		t.Fatalf("computed cell: %s (%s)", v.State, v.Error)
+	}
+	if n := posts() - before; n != 1 {
+		t.Fatalf("computed cell cost %d POSTs, want 1", n)
+	}
+	for u, f := range fakes {
+		if n := f.gets.Load(); n != 0 {
+			t.Fatalf("backend %s served %d job GETs, want 0", u, n)
+		}
 	}
 }

@@ -257,7 +257,7 @@ func (g *Gateway) cacheProbe(ctx context.Context, b *Backend, key string) (json.
 	if err != nil {
 		return nil, false
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, false
 	}
@@ -354,27 +354,53 @@ func (g *Gateway) dispatch(t *task, worker *Backend) (json.RawMessage, bool, err
 	return nil, false, fmt.Errorf("after %d attempts: %w", g.opts.RetryBudget, lastErr)
 }
 
-// attempt submits specJSON to one backend, follows its NDJSON stream to
-// the terminal line, and fetches the final view for cache-hit
-// accounting. On cancellation after submission the backend job is
-// cancelled best-effort.
+// attempt runs a task on one backend as a single exchange: a streaming
+// POST whose response names the backend job in X-PC-Job and then carries
+// its NDJSON stream, down to the status line that reports the cache hit.
+// The tenant's name rides along in X-PC-Tenant so backend journals,
+// access logs, and per-tenant counters attribute the work. On
+// cancellation after submission the backend job is cancelled
+// best-effort.
 func (g *Gateway) attempt(ctx context.Context, b *Backend, t *task) (json.RawMessage, bool, error) {
 	b.acquire()
 	defer b.release()
 	g.metrics.dispatched.Inc(b.URL)
 
-	view, err := g.submitRemote(ctx, b, t)
+	req, err := http.NewRequestWithContext(ctx, "POST", b.URL+"/v1/jobs", bytes.NewReader(t.specJSON))
 	if err != nil {
 		return nil, false, err
 	}
-	remoteID := view.ID
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/x-ndjson")
+	if t.ten != nil {
+		req.Header.Set("X-PC-Tenant", t.ten.Name())
+	}
+	resp, err := g.client.Do(req)
+	if err != nil {
+		if ctx.Err() == nil {
+			g.pool.markDown(b, err)
+		}
+		return nil, false, err
+	}
+	defer drainClose(resp.Body)
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusBadRequest, http.StatusUnprocessableEntity:
+		// 422: the backend rejected the program content itself — every
+		// backend would, so failover is pointless.
+		return nil, false, permanentError{fmt.Errorf("backend %s: %s", b.URL, readError(resp))}
+	default:
+		// 503 (draining, queue full) and 5xx: transient, try elsewhere.
+		return nil, false, fmt.Errorf("backend %s: %s", b.URL, readError(resp))
+	}
+	remoteID := resp.Header.Get("X-PC-Job")
 	defer func() {
 		if ctx.Err() != nil && remoteID != "" {
 			go g.cancelRemote(b, remoteID)
 		}
 	}()
 
-	lines, state, errMsg, err := g.followStream(ctx, b, remoteID)
+	lines, status, err := readStream(resp.Body)
 	if err != nil {
 		// A dead mid-job stream means the backend is gone — unless we
 		// cancelled the request ourselves (job cancel, a failed sweep
@@ -385,132 +411,48 @@ func (g *Gateway) attempt(ctx context.Context, b *Backend, t *task) (json.RawMes
 		}
 		return nil, false, err
 	}
-	switch state {
+	switch status.State {
 	case service.JobDone:
 	case service.JobFailed:
 		// Deterministic failure: every backend would fail identically.
-		return nil, false, permanentError{fmt.Errorf("backend %s: %s", b.URL, errMsg)}
+		return nil, false, permanentError{fmt.Errorf("backend %s: %s", b.URL, status.Error)}
 	case service.JobBudgetExceeded:
 		// Equally deterministic, but surfaced as its own terminal state.
-		return nil, false, permanentError{budgetExceededError{errMsg}}
+		return nil, false, permanentError{budgetExceededError{status.Error}}
 	default: // cancelled remotely (backend draining): retry elsewhere
-		return nil, false, fmt.Errorf("backend %s: job %s", b.URL, state)
+		return nil, false, fmt.Errorf("backend %s: job %s", b.URL, status.State)
 	}
 	if len(lines) != 1 {
 		return nil, false, fmt.Errorf("backend %s: %d data lines, want 1", b.URL, len(lines))
 	}
-	final, err := g.fetchView(ctx, b, remoteID)
-	if err != nil {
-		// The payload is already complete; treat hit accounting as best
-		// effort.
-		return lines[0], false, nil
-	}
-	return lines[0], final.CacheHit, nil
+	return lines[0], status.CacheHit, nil
 }
 
-// submitRemote POSTs one job and decodes the accepted view. The
-// tenant's name rides along in X-PC-Tenant so backend journals, access
-// logs, and per-tenant counters attribute the work.
-func (g *Gateway) submitRemote(ctx context.Context, b *Backend, t *task) (*service.JobView, error) {
-	req, err := http.NewRequestWithContext(ctx, "POST", b.URL+"/v1/jobs", bytes.NewReader(t.specJSON))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if t.ten != nil {
-		req.Header.Set("X-PC-Tenant", t.ten.Name())
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		if ctx.Err() == nil {
-			g.pool.markDown(b, err)
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusAccepted:
-	case resp.StatusCode == http.StatusBadRequest, resp.StatusCode == http.StatusUnprocessableEntity:
-		// 422: the backend rejected the program content itself — every
-		// backend would, so failover is pointless.
-		return nil, permanentError{fmt.Errorf("backend %s: %s", b.URL, readError(resp))}
-	default:
-		// 503 (draining, queue full) and 5xx: transient, try elsewhere.
-		return nil, fmt.Errorf("backend %s: %s", b.URL, readError(resp))
-	}
-	var view service.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return nil, fmt.Errorf("backend %s: decoding submit: %w", b.URL, err)
-	}
-	return &view, nil
-}
-
-// followStream reads a backend job's NDJSON stream to EOF: data lines,
+// readStream reads a backend job's NDJSON stream to EOF: data lines,
 // then the terminal status line.
-func (g *Gateway) followStream(ctx context.Context, b *Backend, id string) (lines []json.RawMessage, state service.JobState, errMsg string, err error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", b.URL+"/v1/jobs/"+id+"/stream", nil)
-	if err != nil {
-		return nil, "", "", err
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return nil, "", "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", "", fmt.Errorf("stream: %s", readError(resp))
-	}
-	rd := bufio.NewReader(resp.Body)
-	var raw [][]byte
+func readStream(body io.Reader) (lines []json.RawMessage, status service.StreamStatus, err error) {
+	rd := bufio.NewReader(body)
 	for {
 		line, err := rd.ReadBytes('\n')
 		line = bytes.TrimSuffix(line, []byte("\n"))
 		if len(line) > 0 {
-			raw = append(raw, line)
+			lines = append(lines, line)
 		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, "", "", err
+			return nil, status, err
 		}
 	}
-	if len(raw) == 0 {
-		return nil, "", "", errors.New("stream: empty")
+	if len(lines) == 0 {
+		return nil, status, errors.New("stream: empty")
 	}
-	var status struct {
-		State service.JobState `json:"state"`
-		Error string           `json:"error,omitempty"`
-	}
-	last := raw[len(raw)-1]
+	last := lines[len(lines)-1]
 	if err := json.Unmarshal(last, &status); err != nil || status.State == "" {
-		return nil, "", "", fmt.Errorf("stream: truncated (no status line)")
+		return nil, status, errors.New("stream: truncated (no status line)")
 	}
-	for _, l := range raw[:len(raw)-1] {
-		lines = append(lines, json.RawMessage(l))
-	}
-	return lines, status.State, status.Error, nil
-}
-
-// fetchView GETs one backend job view.
-func (g *Gateway) fetchView(ctx context.Context, b *Backend, id string) (*service.JobView, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", b.URL+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("get %s: %s", id, resp.Status)
-	}
-	var view service.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return nil, err
-	}
-	return &view, nil
+	return lines[:len(lines)-1], status, nil
 }
 
 // cancelRemote best-effort DELETEs a backend job whose dispatch was
@@ -526,7 +468,14 @@ func (g *Gateway) cancelRemote(b *Backend, id string) {
 	if err != nil {
 		return
 	}
-	resp.Body.Close()
+	drainClose(resp.Body)
+}
+
+// drainClose reads what is left of a small response before closing it,
+// so the transport keeps the connection alive for the next request.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 4<<10))
+	body.Close()
 }
 
 // readError renders a non-2xx response body.

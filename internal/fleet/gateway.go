@@ -101,14 +101,18 @@ func New(opts Options) (*Gateway, error) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	// One kept-alive connection per dispatch worker and backend, plus
+	// room for the peer-fill probes, so a dispatch never waits on a dial.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = opts.BackendConcurrency + 2
 	return &Gateway{
 		opts:       opts,
 		pool:       pool,
 		tenants:    opts.Tenants,
 		disp:       newDispatcher(opts.Pool.Backends, m),
 		metrics:    m,
-		client:     &http.Client{},
-		probe:      &http.Client{Timeout: 2 * time.Second},
+		client:     &http.Client{Transport: tr},
+		probe:      &http.Client{Transport: tr, Timeout: 2 * time.Second},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       map[string]*fleetJob{},

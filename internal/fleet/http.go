@@ -23,6 +23,11 @@ import (
 //	GET    /readyz              readiness: 503 while draining or no backend is healthy
 //	GET    /metrics             Prometheus text exposition
 //
+// The gateway answers pcserved's streaming POST (Accept:
+// application/x-ndjson) with the plain 202; its stream's status line
+// never carries cache_hit, so it stays byte-identical to a cold
+// backend's.
+//
 // When the gateway runs with a tenant file, every job route requires a
 // valid API key (Authorization: Bearer <key> or X-PC-Tenant-Key) and
 // answers 401 otherwise. /healthz, /readyz and /metrics stay open —
@@ -183,10 +188,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 				w.Write(result)
 				w.Write([]byte("\n"))
 			}
-			final, _ := json.Marshal(struct {
-				State service.JobState `json:"state"`
-				Error string           `json:"error,omitempty"`
-			}{state, errMsg})
+			final, _ := json.Marshal(service.StreamStatus{State: state, Error: errMsg})
 			w.Write(final)
 			w.Write([]byte("\n"))
 			if flusher != nil {

@@ -223,7 +223,7 @@ func (p *Pool) fetchReadyz(base string) (*service.Health, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("readyz: %s", resp.Status)
 	}

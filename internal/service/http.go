@@ -12,16 +12,23 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /v1/jobs             submit a job (202 + job view)
+//	POST   /v1/jobs             submit a job (202 + job view; streaming POST: 200 + NDJSON stream)
 //	POST   /v1/programs         compile-and-run an untrusted source program (202 + job view; 422 on limit/syntax rejection)
 //	GET    /v1/jobs             list jobs
 //	GET    /v1/jobs/{id}        job status; includes result when done
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
-//	GET    /v1/jobs/{id}/stream NDJSON: per-cell results as they finish
+//	GET    /v1/jobs/{id}/stream NDJSON: per-cell results as they finish, then {"state":...,"error":...,"cache_hit":true}
 //	GET    /v1/cache/{key}      raw cached payload for a content key (404 on miss)
 //	GET    /healthz             liveness: always 200 while the process serves, with load detail
 //	GET    /readyz              readiness: 503 + Retry-After while draining
 //	GET    /metrics             Prometheus text exposition
+//
+// A streaming POST is either POST sent with "Accept: application/x-ndjson":
+// it answers 200 on the same connection, with the job ID in the X-PC-Job
+// header (flushed as soon as the job is queued) and then exactly the
+// bytes GET /v1/jobs/{id}/stream would send. Submission errors keep
+// their codes (400, 422, 503). The status line omits error and
+// cache_hit when unset.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -62,7 +69,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.submitAndRespond(w, spec, tenantHeader(r))
+	s.submitAndRespond(w, r, spec)
 }
 
 // maxTenantBytes caps the client-supplied X-PC-Tenant value.
@@ -87,12 +94,16 @@ func tenantHeader(r *http.Request) string {
 }
 
 // submitAndRespond enqueues spec and writes the submission response:
-// 202 with the job view, 503 when draining or full, 422 when the
+// 202 with the job view (or 200 with its NDJSON stream when the request
+// accepts application/x-ndjson), 503 when draining or full, 422 when the
 // submitted program itself was rejected (ProgramError), 400 otherwise.
-func (s *Server) submitAndRespond(w http.ResponseWriter, spec JobSpec, tenant string) {
-	job, err := s.SubmitWithTenant(spec, tenant)
+func (s *Server) submitAndRespond(w http.ResponseWriter, r *http.Request, spec JobSpec) {
+	job, err := s.SubmitWithTenant(spec, tenantHeader(r))
 	var pe *ProgramError
 	switch {
+	case err == nil && strings.Contains(r.Header.Get("Accept"), ndjson):
+		w.Header().Set("X-PC-Job", job.id)
+		streamJob(w, r, job)
 	case err == nil:
 		writeJSON(w, http.StatusAccepted, job.view(false))
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
@@ -134,7 +145,7 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.submitAndRespond(w, req.JobSpec(), tenantHeader(r))
+	s.submitAndRespond(w, r, req.JobSpec())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -166,17 +177,32 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job.view(false))
 }
 
-// handleStream writes NDJSON: one line per completed sweep cell (in grid
-// order), then a terminal status line {"state":...}. Non-sweep jobs get
-// their whole result as the single data line once done. The stream
-// follows a live job until it reaches a terminal state or the client
-// goes away.
+// handleStream follows an already submitted job's stream (streamJob).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFor(w, r)
-	if !ok {
-		return
+	if job, ok := s.jobFor(w, r); ok {
+		streamJob(w, r, job)
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+}
+
+// ndjson is the media type of job streams.
+const ndjson = "application/x-ndjson"
+
+// StreamStatus is the terminal line of a job's NDJSON stream. CacheHit
+// is omitted when false: a fleet gateway's stream, which never reports
+// a hit, must stay byte-identical to a backend's cold stream.
+type StreamStatus struct {
+	State    JobState `json:"state"`
+	Error    string   `json:"error,omitempty"`
+	CacheHit bool     `json:"cache_hit,omitempty"`
+}
+
+// streamJob writes NDJSON: one line per completed sweep cell (in grid
+// order), then the terminal StreamStatus line. Non-sweep jobs get their
+// whole result as the single data line once done. The stream follows a
+// live job until it reaches a terminal state or the client goes away;
+// the first flush sends the headers even while the job is queued.
+func streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
+	w.Header().Set("Content-Type", ndjson)
 	flusher, _ := w.(http.Flusher)
 	sent := 0
 	for {
@@ -184,7 +210,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		cells := job.cells[sent:]
 		state := job.state
 		result := job.result
-		errMsg := job.errMsg
+		status := StreamStatus{State: state, Error: job.errMsg, CacheHit: job.hit}
 		updated := job.updated
 		job.mu.Unlock()
 
@@ -198,10 +224,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				w.Write(result)
 				w.Write([]byte("\n"))
 			}
-			final, _ := json.Marshal(struct {
-				State JobState `json:"state"`
-				Error string   `json:"error,omitempty"`
-			}{state, errMsg})
+			final, _ := json.Marshal(status)
 			w.Write(final)
 			w.Write([]byte("\n"))
 			if flusher != nil {
