@@ -123,15 +123,15 @@ func TestCancelReachesStalledBackend(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	if _, err := gw.Cancel(job.id); err != nil {
+	if _, err := gw.jobs.Cancel(job.ID()); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-job.done:
+	case <-job.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled job never finished while its backend stalled")
 	}
-	if v := job.view(false); v.State != service.JobCancelled {
+	if v := job.View(false); v.State != service.JobCancelled {
 		t.Fatalf("job state %s (%s), want cancelled", v.State, v.Error)
 	}
 
@@ -163,11 +163,11 @@ func TestCancelReachesStalledBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-job.done:
+	case <-job.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatal("computed cell never finished")
 	}
-	if v := job.view(false); v.State != service.JobDone {
+	if v := job.View(false); v.State != service.JobDone {
 		t.Fatalf("computed cell: %s (%s)", v.State, v.Error)
 	}
 	if n := posts() - before; n != 1 {

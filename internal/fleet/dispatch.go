@@ -15,6 +15,7 @@ import (
 
 	"pcoup/internal/machine"
 	"pcoup/internal/service"
+	"pcoup/internal/tenant"
 )
 
 // permanentError marks a dispatch failure that would recur on every
@@ -33,32 +34,23 @@ type budgetExceededError struct{ msg string }
 
 func (e budgetExceededError) Error() string { return e.msg }
 
-// runJob executes one gateway job end to end.
-func (g *Gateway) runJob(job *fleetJob) {
-	job.mu.Lock()
-	if job.state.Terminal() { // cancelled while queued
-		job.mu.Unlock()
-		return
-	}
-	job.state = service.JobRunning
-	job.started = time.Now()
+// runJob executes one gateway job end to end for tenant ten, which
+// holds a reservation of cells queued cells for it.
+func (g *Gateway) runJob(job *service.Job, ten *tenant.Tenant, cells int) {
 	ctx, cancel := context.WithCancel(g.baseCtx)
-	job.cancel = cancel
-	alreadyCancelled := job.cancelled
-	job.notifyLocked()
-	job.mu.Unlock()
 	defer cancel()
-	g.metrics.jobs.Inc(string(service.JobRunning))
-	if alreadyCancelled {
-		cancel()
+	if !g.jobs.Begin(job, cancel) {
+		// Cancelled while queued: nothing will dispatch the reservation.
+		ten.SubQueued(cells)
+		return
 	}
 
 	var payload json.RawMessage
 	var err error
-	if job.spec.Sweep != nil {
-		payload, err = g.runSweepJob(ctx, job)
+	if job.Spec().Sweep != nil {
+		payload, err = g.runSweepJob(ctx, job, ten)
 	} else {
-		payload, err = g.runUnitJob(ctx, job)
+		payload, err = g.runUnitJob(ctx, job, ten)
 	}
 
 	var state service.JobState
@@ -77,20 +69,18 @@ func (g *Gateway) runJob(job *fleetJob) {
 		state = service.JobFailed
 		errMsg = err.Error()
 	}
-	job.finish(state, payload, errMsg)
-	g.metrics.jobs.Inc(string(state))
+	g.jobs.Finish(job, state, payload, errMsg)
 }
 
 // runSweepJob scatters the sweep's cells into the tenant-fair dispatch
 // queues (each cell at its content key's ring owner) and gathers the
 // results back in grid order, so the merged payload and the NDJSON
 // stream are byte-identical to a single backend's.
-func (g *Gateway) runSweepJob(ctx context.Context, job *fleetJob) (json.RawMessage, error) {
-	sw := job.spec.Sweep
+func (g *Gateway) runSweepJob(ctx context.Context, job *service.Job, ten *tenant.Tenant) (json.RawMessage, error) {
+	spec := job.Spec()
+	sw := spec.Sweep
 	cells := sw.Cells()
-	job.mu.Lock()
-	job.total = len(cells)
-	job.mu.Unlock()
+	job.SetTotal(len(cells))
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -102,20 +92,20 @@ func (g *Gateway) runSweepJob(ctx context.Context, job *fleetJob) (json.RawMessa
 	for i, c := range cells {
 		specJSON, err := json.Marshal(service.JobSpec{
 			Sweep:     sw.SingleCellSweep(c),
-			Options:   job.spec.Options,
-			TimeoutMS: job.spec.TimeoutMS,
+			Options:   spec.Options,
+			TimeoutMS: spec.TimeoutMS,
 		})
 		if err != nil {
-			job.tenant.SubQueued(len(cells)) // nothing was enqueued
+			ten.SubQueued(len(cells)) // nothing was enqueued
 			return nil, err
 		}
-		key, err := service.SweepCellContentKey(c, sw.Mode, job.spec.Options)
+		key, err := service.SweepCellContentKey(c, sw.Mode, spec.Options)
 		if err != nil {
-			job.tenant.SubQueued(len(cells))
+			ten.SubQueued(len(cells))
 			return nil, err
 		}
 		tasks = append(tasks, &task{
-			ctx: ctx, ten: job.tenant, key: key, content: true,
+			ctx: ctx, ten: ten, key: key, content: true,
 			specJSON: specJSON, index: i,
 			owner: g.pool.ownerURL(key), resCh: resCh,
 		})
@@ -144,40 +134,37 @@ func (g *Gateway) runSweepJob(ctx context.Context, job *fleetJob) (json.RawMessa
 			allHit = false
 		}
 		for nextEmit < len(results) && results[nextEmit] != nil {
-			job.appendCell(results[nextEmit])
+			job.AppendCell(results[nextEmit])
 			nextEmit++
 		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	job.mu.Lock()
-	job.hit = allHit
-	job.mu.Unlock()
+	job.SetHit(allHit)
 	return service.MergeSweepPayload(sw, results)
 }
 
 // runUnitJob forwards a whole cell/experiment job through the dispatch
 // queue of its content-key owner.
-func (g *Gateway) runUnitJob(ctx context.Context, job *fleetJob) (json.RawMessage, error) {
-	specJSON, err := json.Marshal(job.spec)
+func (g *Gateway) runUnitJob(ctx context.Context, job *service.Job, ten *tenant.Tenant) (json.RawMessage, error) {
+	spec := job.Spec()
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
-		job.tenant.SubQueued(1)
+		ten.SubQueued(1)
 		return nil, err
 	}
-	key, content := routeKey(&job.spec)
+	key, content := routeKey(&spec)
 	resCh := make(chan taskResult, 1)
 	g.disp.enqueue([]*task{{
-		ctx: ctx, ten: job.tenant, key: key, content: content,
+		ctx: ctx, ten: ten, key: key, content: content,
 		specJSON: specJSON, owner: g.pool.ownerURL(key), resCh: resCh,
 	}})
 	res := <-resCh
 	if res.err != nil {
 		return nil, res.err
 	}
-	job.mu.Lock()
-	job.hit = res.hit
-	job.mu.Unlock()
+	job.SetHit(res.hit)
 	return res.payload, nil
 }
 

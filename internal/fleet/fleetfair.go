@@ -208,13 +208,13 @@ func fleetFairSample(ctx context.Context, gw *Gateway, ten *tenant.Tenant) ([]ti
 			return nil, err
 		}
 		select {
-		case <-job.done:
+		case <-job.Done():
 		case <-ctx.Done():
-			gw.Cancel(job.id)
-			<-job.done
+			gw.jobs.Cancel(job.ID())
+			<-job.Done()
 			return nil, ctx.Err()
 		}
-		if v := job.view(false); v.State != service.JobDone {
+		if v := job.View(false); v.State != service.JobDone {
 			return nil, fmt.Errorf("interactive job %s: %s", v.State, v.Error)
 		}
 		lats = append(lats, time.Since(start))
@@ -227,16 +227,16 @@ func fleetFairSample(ctx context.Context, gw *Gateway, ten *tenant.Tenant) ([]ti
 func fleetFairFlood(ctx context.Context, gw *Gateway, ten *tenant.Tenant, done chan<- struct{}) {
 	defer close(done)
 	slots := make(chan struct{}, fleetFairOutstand)
-	var inflight []*fleetJob
+	var inflight []*service.Job
 	for {
 		select {
 		case slots <- struct{}{}:
 		case <-ctx.Done():
 			for _, job := range inflight {
-				gw.Cancel(job.id)
+				gw.jobs.Cancel(job.ID())
 			}
 			for _, job := range inflight {
-				<-job.done
+				<-job.Done()
 			}
 			return
 		}
@@ -250,8 +250,8 @@ func fleetFairFlood(ctx context.Context, gw *Gateway, ten *tenant.Tenant, done c
 			continue
 		}
 		inflight = append(inflight, job)
-		go func(j *fleetJob) {
-			<-j.done
+		go func(j *service.Job) {
+			<-j.Done()
 			<-slots
 		}(job)
 	}

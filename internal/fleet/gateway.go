@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,13 +13,8 @@ import (
 	"pcoup/internal/tenant"
 )
 
-// Gateway submission errors distinguished by the HTTP layer.
-var (
-	// ErrDraining: the gateway is shutting down.
-	ErrDraining = errors.New("fleet: shutting down, not accepting jobs")
-	// ErrNotFound: no such gateway job.
-	ErrNotFound = errors.New("fleet: no such job")
-)
+// ErrDraining: the gateway is shutting down and accepts no new jobs.
+var ErrDraining = errors.New("fleet: shutting down, not accepting jobs")
 
 // Options configures a Gateway.
 type Options struct {
@@ -84,10 +78,9 @@ type Gateway struct {
 	wg         sync.WaitGroup // job goroutines
 	workerWg   sync.WaitGroup // dispatch workers
 
+	jobs *service.JobTable
+
 	mu        sync.Mutex
-	jobs      map[string]*fleetJob
-	order     []*fleetJob
-	nextID    int
 	accepting bool
 	started   bool
 }
@@ -115,7 +108,7 @@ func New(opts Options) (*Gateway, error) {
 		probe:      &http.Client{Transport: tr, Timeout: 2 * time.Second},
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       map[string]*fleetJob{},
+		jobs:       &service.JobTable{Prefix: "f-", QuietHits: true, Transitions: m.jobs},
 		accepting:  true,
 	}, nil
 }
@@ -180,87 +173,10 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	return drainErr
 }
 
-// fleetJob is one gateway job: a scattered sweep or a forwarded unit.
-type fleetJob struct {
-	mu sync.Mutex
-
-	id      string
-	spec    service.JobSpec
-	tenant  *tenant.Tenant
-	state   service.JobState
-	errMsg  string
-	result  json.RawMessage
-	cells   []json.RawMessage
-	total   int
-	hit     bool // every dispatch was served from a backend cache
-	created time.Time
-	started time.Time
-	ended   time.Time
-
-	cancelled bool
-	cancel    context.CancelFunc
-	updated   chan struct{}
-	done      chan struct{}
-}
-
-func (j *fleetJob) notifyLocked() {
-	close(j.updated)
-	j.updated = make(chan struct{})
-}
-
-// appendCell records one merged cell in grid order and wakes streamers.
-func (j *fleetJob) appendCell(payload json.RawMessage) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cells = append(j.cells, payload)
-	j.notifyLocked()
-}
-
-func (j *fleetJob) finish(state service.JobState, result json.RawMessage, errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
-	j.ended = time.Now()
-	j.notifyLocked()
-	close(j.done)
-}
-
-// view renders the job as the shared wire representation.
-func (j *fleetJob) view(withResult bool) service.JobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	v := service.JobView{
-		ID: j.id, State: j.state, Spec: j.spec, Error: j.errMsg,
-		CacheHit:  j.hit,
-		CellsDone: len(j.cells), CellsTotal: j.total,
-		Created: j.created,
-	}
-	if j.tenant != nil {
-		v.Tenant = j.tenant.Name()
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.Started = &t
-	}
-	if !j.ended.IsZero() {
-		t := j.ended
-		v.Finished = &t
-	}
-	if withResult {
-		v.Result = j.result
-	}
-	return v
-}
-
 // Submit runs SubmitAs for the open-mode default tenant (tests,
 // embedded use). With a closed registry it fails: callers must
 // authenticate and use SubmitAs.
-func (g *Gateway) Submit(spec service.JobSpec) (*fleetJob, error) {
+func (g *Gateway) Submit(spec service.JobSpec) (*service.Job, error) {
 	ten := g.tenants.Default()
 	if ten == nil {
 		return nil, tenant.ErrUnauthorized
@@ -272,7 +188,7 @@ func (g *Gateway) Submit(spec service.JobSpec) (*fleetJob, error) {
 // backends' preset tables), runs admission control for the tenant, and
 // launches the job's execution. A *tenant.QuotaError return maps to
 // HTTP 429 + Retry-After.
-func (g *Gateway) SubmitAs(spec service.JobSpec, ten *tenant.Tenant) (*fleetJob, error) {
+func (g *Gateway) SubmitAs(spec service.JobSpec, ten *tenant.Tenant) (*service.Job, error) {
 	if err := g.validate(&spec); err != nil {
 		return nil, err
 	}
@@ -289,25 +205,13 @@ func (g *Gateway) SubmitAs(spec service.JobSpec, ten *tenant.Tenant) (*fleetJob,
 		ten.SubQueued(cells)
 		return nil, ErrDraining
 	}
-	g.nextID++
-	job := &fleetJob{
-		id:      fmt.Sprintf("f-%06d", g.nextID),
-		spec:    spec,
-		tenant:  ten,
-		state:   service.JobQueued,
-		created: time.Now(),
-		updated: make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	g.jobs[job.id] = job
-	g.order = append(g.order, job)
+	job, _ := g.jobs.Add(spec, nil, ten.Name(), nil)
 	g.wg.Add(1)
 	g.mu.Unlock()
-	g.metrics.jobs.Inc(string(service.JobQueued))
 
 	go func() {
 		defer g.wg.Done()
-		g.runJob(job)
+		g.runJob(job, ten, cells)
 	}()
 	return job, nil
 }
@@ -394,49 +298,5 @@ func presetList(names []string) string {
 	return out
 }
 
-// Get returns a gateway job by id.
-func (g *Gateway) Get(id string) (*fleetJob, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	job, ok := g.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return job, nil
-}
-
 // List snapshots all gateway jobs in submission order.
-func (g *Gateway) List() []service.JobView {
-	g.mu.Lock()
-	jobs := append([]*fleetJob(nil), g.order...)
-	g.mu.Unlock()
-	out := make([]service.JobView, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.view(false)
-	}
-	return out
-}
-
-// Cancel requests cancellation of a gateway job; in-flight backend
-// dispatches observe it through their request contexts.
-func (g *Gateway) Cancel(id string) (*fleetJob, error) {
-	job, err := g.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	job.mu.Lock()
-	job.cancelled = true
-	state := job.state
-	cancel := job.cancel
-	job.mu.Unlock()
-	if state.Terminal() {
-		return job, nil
-	}
-	if cancel != nil {
-		cancel()
-	} else {
-		job.finish(service.JobCancelled, nil, "cancelled before execution")
-		g.metrics.jobs.Inc(string(service.JobCancelled))
-	}
-	return job, nil
-}
+func (g *Gateway) List() []service.JobView { return g.jobs.List() }

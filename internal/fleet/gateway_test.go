@@ -320,8 +320,8 @@ func TestSweepFailureDoesNotLeakTenantAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-job.done
-		if v := job.view(false); v.State != service.JobFailed {
+		<-job.Done()
+		if v := job.View(false); v.State != service.JobFailed {
 			t.Fatalf("sweep %d: state %s, want %s", i, v.State, service.JobFailed)
 		}
 		if n := gw.disp.queued(); n != 0 {

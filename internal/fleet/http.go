@@ -23,10 +23,12 @@ import (
 //	GET    /readyz              readiness: 503 while draining or no backend is healthy
 //	GET    /metrics             Prometheus text exposition
 //
-// The gateway answers pcserved's streaming POST (Accept:
-// application/x-ndjson) with the plain 202; its stream's status line
-// never carries cache_hit, so it stays byte-identical to a cold
-// backend's.
+// The four GET/DELETE job routes are the shared service.JobTable's,
+// served by the same code as pcserved's. The gateway answers pcserved's
+// streaming POST (Accept: application/x-ndjson) with the plain 202. Its
+// jobs are quiet about hits: the stream's status line never carries
+// cache_hit, so it stays byte-identical to a cold backend's, while the
+// job view reports it.
 //
 // When the gateway runs with a tenant file, every job route requires a
 // valid API key (Authorization: Bearer <key> or X-PC-Tenant-Key) and
@@ -36,10 +38,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", g.withTenant(g.handleSubmit))
 	mux.HandleFunc("POST /v1/programs", g.withTenant(g.handleProgram))
-	mux.HandleFunc("GET /v1/jobs", g.withTenant(g.handleList))
-	mux.HandleFunc("GET /v1/jobs/{id}", g.withTenant(g.handleGet))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", g.withTenant(g.handleCancel))
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", g.withTenant(g.handleStream))
+	g.jobs.Routes(mux, g.withTenant)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
@@ -53,29 +52,11 @@ func (g *Gateway) withTenant(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ten, err := g.tenants.FromRequest(r)
 		if err != nil {
-			writeHTTPError(w, http.StatusUnauthorized, err)
+			service.WriteError(w, http.StatusUnauthorized, err)
 			return
 		}
 		h(w, r.WithContext(tenant.NewContext(r.Context(), ten)))
 	}
-}
-
-// writeJSON mirrors the service daemon's encoding so job views render
-// identically through either front door.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeHTTPError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -83,7 +64,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeHTTPError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	g.submitAndRespond(w, r, spec)
@@ -96,7 +77,7 @@ func (g *Gateway) handleProgram(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeHTTPError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	g.submitAndRespond(w, r, req.JobSpec())
@@ -115,95 +96,16 @@ func (g *Gateway) submitAndRespond(w http.ResponseWriter, r *http.Request, spec 
 	var pe *service.ProgramError
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, job.view(false))
+		service.WriteJSON(w, http.StatusAccepted, job.View(false))
 	case errors.As(err, &qe):
 		w.Header().Set("Retry-After", strconv.Itoa(qe.RetryAfterSeconds()))
-		writeHTTPError(w, http.StatusTooManyRequests, err)
+		service.WriteError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrDraining):
-		writeHTTPError(w, http.StatusServiceUnavailable, err)
+		service.WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.As(err, &pe):
-		writeHTTPError(w, http.StatusUnprocessableEntity, err)
+		service.WriteError(w, http.StatusUnprocessableEntity, err)
 	default:
-		writeHTTPError(w, http.StatusBadRequest, err)
-	}
-}
-
-func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.List())
-}
-
-func (g *Gateway) jobFor(w http.ResponseWriter, r *http.Request) (*fleetJob, bool) {
-	job, err := g.Get(r.PathValue("id"))
-	if err != nil {
-		writeHTTPError(w, http.StatusNotFound, err)
-		return nil, false
-	}
-	return job, true
-}
-
-func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
-	if job, ok := g.jobFor(w, r); ok {
-		writeJSON(w, http.StatusOK, job.view(true))
-	}
-}
-
-func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, err := g.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeHTTPError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, job.view(false))
-}
-
-// handleStream emits the same NDJSON a single backend would: one line
-// per sweep cell in grid order, then the terminal status line. Because
-// the dispatcher gathers cells back into grid order before appending,
-// the stream through the gateway is byte-identical to a single
-// backend's stream for the same sweep.
-func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
-	job, ok := g.jobFor(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	sent := 0
-	for {
-		job.mu.Lock()
-		cells := job.cells[sent:]
-		state := job.state
-		result := job.result
-		errMsg := job.errMsg
-		updated := job.updated
-		job.mu.Unlock()
-
-		for _, cell := range cells {
-			w.Write(cell)
-			w.Write([]byte("\n"))
-			sent++
-		}
-		if state.Terminal() {
-			if sent == 0 && len(result) > 0 {
-				w.Write(result)
-				w.Write([]byte("\n"))
-			}
-			final, _ := json.Marshal(service.StreamStatus{State: state, Error: errMsg})
-			w.Write(final)
-			w.Write([]byte("\n"))
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		select {
-		case <-updated:
-		case <-r.Context().Done():
-			return
-		}
+		service.WriteError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -248,7 +150,7 @@ func (g *Gateway) health() fleetHealth {
 // handleHealthz is liveness: the gateway process is up, with a backend
 // summary for operators. Always 200.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.health())
+	service.WriteJSON(w, http.StatusOK, g.health())
 }
 
 // handleReadyz is readiness: 503 while draining or while no backend is
@@ -259,14 +161,14 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case !h.Accepting:
 		h.Status = "draining"
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		service.WriteJSON(w, http.StatusServiceUnavailable, h)
 	case h.BackendsHealthy == 0:
 		h.Status = "no healthy backends"
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		service.WriteJSON(w, http.StatusServiceUnavailable, h)
 	default:
 		h.Status = "ready"
-		writeJSON(w, http.StatusOK, h)
+		service.WriteJSON(w, http.StatusOK, h)
 	}
 }
 

@@ -109,8 +109,8 @@ func TestDispatchReusesConnections(t *testing.T) {
 					errs <- err
 					return
 				}
-				<-job.done
-				if v := job.view(false); v.State != service.JobDone || v.CacheHit {
+				<-job.Done()
+				if v := job.View(false); v.State != service.JobDone || v.CacheHit {
 					errs <- fmt.Errorf("job %s: %s hit=%v (%s)", v.ID, v.State, v.CacheHit, v.Error)
 					return
 				}

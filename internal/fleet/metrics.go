@@ -83,17 +83,11 @@ func (m *Metrics) ShedTotal(class string) int64 { return m.shed.Value(class) }
 func (g *Gateway) writeMetrics(w io.Writer) {
 	m := g.metrics
 	g.mu.Lock()
-	byState := map[string]int{}
-	for _, j := range g.order {
-		j.mu.Lock()
-		byState[string(j.state)]++
-		j.mu.Unlock()
-	}
 	accepting := g.accepting
 	g.mu.Unlock()
 
 	m.jobs.Write(w)
-	obs.Gauge(w, "pcfleet_jobs_current", "Gateway jobs currently in each state.").Map("state", byState)
+	obs.Gauge(w, "pcfleet_jobs_current", "Gateway jobs currently in each state.").Map("state", g.jobs.Counts())
 	obs.Gauge(w, "pcfleet_accepting", "Whether new jobs are accepted (0 during drain).").Bool(accepting)
 
 	backends := g.pool.all()

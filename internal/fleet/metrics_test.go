@@ -74,8 +74,17 @@ func TestMetricsExposition(t *testing.T) {
 		ten.Admit(3)
 		ten.TryAcquireInflight()
 	}
+	// Jobs in each state, moved there through a table of their own so
+	// their transitions leave pcfleet_jobs_total to the counters below.
+	gw.jobs = &service.JobTable{Prefix: "f-", Transitions: obs.NewCounterVec("scratch_jobs_total", "", "state", 0)}
 	for _, s := range []service.JobState{service.JobRunning, service.JobDone, service.JobDone, service.JobQueued} {
-		gw.order = append(gw.order, &fleetJob{state: s})
+		job, _ := gw.jobs.Add(service.JobSpec{}, nil, "", nil)
+		if s != service.JobQueued {
+			gw.jobs.Begin(job, func() {})
+		}
+		if s.Terminal() {
+			gw.jobs.Finish(job, s, nil, "")
+		}
 	}
 
 	// Counters.

@@ -155,11 +155,11 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		srv.mu.Unlock()
 		for _, p := range pending {
-			job, err := srv.Get(p.ID)
+			job, err := srv.jobs.Get(p.ID)
 			if err != nil {
 				t.Fatalf("recovered job %s is missing", p.ID)
 			}
-			if v := job.view(false); v.State != JobQueued && (v.State != JobFailed || v.Error == "") {
+			if v := job.View(false); v.State != JobQueued && (v.State != JobFailed || v.Error == "") {
 				t.Errorf("recovered job %s is %s (error %q), want queued or failed with an error", p.ID, v.State, v.Error)
 			}
 		}

@@ -33,10 +33,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("POST /v1/programs", s.handleProgram)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
+	s.jobs.Routes(mux, func(h http.HandlerFunc) http.HandlerFunc { return h })
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -44,8 +41,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON renders v with a stable, readable encoding.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON renders v with a stable, readable encoding (both daemons'
+// JSON responses).
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -53,12 +51,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
+// WriteError renders err as an {"error": ...} body.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{err.Error()})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -66,7 +63,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.submitAndRespond(w, r, spec)
@@ -105,13 +102,13 @@ func (s *Server) submitAndRespond(w http.ResponseWriter, r *http.Request, spec J
 		w.Header().Set("X-PC-Job", job.id)
 		streamJob(w, r, job)
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, job.view(false))
+		WriteJSON(w, http.StatusAccepted, job.View(false))
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.As(err, &pe):
-		writeError(w, http.StatusUnprocessableEntity, err)
+		WriteError(w, http.StatusUnprocessableEntity, err)
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -142,46 +139,45 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.submitAndRespond(w, r, req.JobSpec())
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.List())
+// Routes registers the job routes both daemons share on mux, each
+// handler wrapped by wrap: list, status, cancel and stream.
+func (t *JobTable) Routes(mux *http.ServeMux, wrap func(http.HandlerFunc) http.HandlerFunc) {
+	mux.HandleFunc("GET /v1/jobs", wrap(func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, t.List())
+	}))
+	mux.HandleFunc("GET /v1/jobs/{id}", wrap(func(w http.ResponseWriter, r *http.Request) {
+		if job, ok := t.jobFor(w, r); ok {
+			WriteJSON(w, http.StatusOK, job.View(true))
+		}
+	}))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", wrap(func(w http.ResponseWriter, r *http.Request) {
+		if job, err := t.Cancel(r.PathValue("id")); err != nil {
+			WriteError(w, http.StatusNotFound, err)
+		} else {
+			WriteJSON(w, http.StatusOK, job.View(false))
+		}
+	}))
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", wrap(func(w http.ResponseWriter, r *http.Request) {
+		if job, ok := t.jobFor(w, r); ok {
+			streamJob(w, r, job)
+		}
+	}))
 }
 
 // jobFor resolves {id}, writing a 404 on miss.
-func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	job, err := s.Get(r.PathValue("id"))
+func (t *JobTable) jobFor(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	job, err := t.Get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return nil, false
 	}
 	return job, true
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if job, ok := s.jobFor(w, r); ok {
-		writeJSON(w, http.StatusOK, job.view(true))
-	}
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, err := s.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, job.view(false))
-}
-
-// handleStream follows an already submitted job's stream (streamJob).
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if job, ok := s.jobFor(w, r); ok {
-		streamJob(w, r, job)
-	}
 }
 
 // ndjson is the media type of job streams.
@@ -189,7 +185,8 @@ const ndjson = "application/x-ndjson"
 
 // StreamStatus is the terminal line of a job's NDJSON stream. CacheHit
 // is omitted when false: a fleet gateway's stream, which never reports
-// a hit, must stay byte-identical to a backend's cold stream.
+// a hit (its JobTable sets QuietHits), must stay byte-identical to a
+// backend's cold stream.
 type StreamStatus struct {
 	State    JobState `json:"state"`
 	Error    string   `json:"error,omitempty"`
@@ -210,7 +207,7 @@ func streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 		cells := job.cells[sent:]
 		state := job.state
 		result := job.result
-		status := StreamStatus{State: state, Error: job.errMsg, CacheHit: job.hit}
+		status := StreamStatus{State: state, Error: job.errMsg, CacheHit: job.hit && !job.quietHit}
 		updated := job.updated
 		job.mu.Unlock()
 
@@ -259,7 +256,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	}
 	if !ok {
 		w.Header().Set("X-PC-Cache", "miss")
-		writeError(w, http.StatusNotFound, errors.New("cache: no entry for key"))
+		WriteError(w, http.StatusNotFound, errors.New("cache: no entry for key"))
 		return
 	}
 	w.Header().Set("X-PC-Cache", "hit")
@@ -292,7 +289,7 @@ func (s *Server) health() Health {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
+	WriteJSON(w, http.StatusOK, s.health())
 }
 
 // handleReadyz reports whether the daemon accepts new jobs. During a
@@ -303,11 +300,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !h.Accepting {
 		h.Status = "draining"
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		WriteJSON(w, http.StatusServiceUnavailable, h)
 		return
 	}
 	h.Status = "ready"
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

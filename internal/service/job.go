@@ -12,6 +12,7 @@ import (
 	"pcoup/internal/bench"
 	"pcoup/internal/experiments"
 	"pcoup/internal/machine"
+	"pcoup/internal/obs"
 )
 
 // JobState is a job's lifecycle state.
@@ -266,20 +267,22 @@ func (sw *SweepSpec) SingleCellSweep(c SweepCell) *SweepSpec {
 	}
 }
 
-// Job is one submitted unit of work and its full lifecycle.
+// Job is one submitted unit of work and its full lifecycle. Both
+// daemons keep their jobs as Jobs in a JobTable; only execution differs.
 type Job struct {
 	mu sync.Mutex
 
 	id       string
 	spec     JobSpec
-	tenant   string          // submitting tenant (X-PC-Tenant; "" when unattributed)
+	tenant   string          // submitting tenant ("" when unattributed)
 	cfg      *machine.Config // resolved from spec; nil = driver default
 	state    JobState
 	errMsg   string
 	result   json.RawMessage
 	cells    []json.RawMessage // per-cell payloads (sweep jobs)
 	total    int               // expected cell count (sweep jobs)
-	hit      bool              // served from the whole-job cache entry
+	hit      bool              // served from cache
+	quietHit bool              // the stream's status line omits hit (gateway jobs)
 	attempts int               // executions after journal recoveries (0: first run)
 	created  time.Time
 	started  time.Time
@@ -304,6 +307,12 @@ func newJob(id string, spec JobSpec, cfg *machine.Config, now time.Time) *Job {
 	}
 }
 
+// ID returns the job's ID.
+func (j *Job) ID() string { return j.id }
+
+// Spec returns the job's (normalized) spec.
+func (j *Job) Spec() JobSpec { return j.spec }
+
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
@@ -313,20 +322,36 @@ func (j *Job) notifyLocked() {
 	j.updated = make(chan struct{})
 }
 
-// appendCell records one completed sweep cell and wakes streamers.
-func (j *Job) appendCell(payload json.RawMessage) {
+// AppendCell records one completed sweep cell, in grid order, and wakes
+// streamers.
+func (j *Job) AppendCell(payload json.RawMessage) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.cells = append(j.cells, payload)
 	j.notifyLocked()
 }
 
-// finish moves the job to a terminal state exactly once.
-func (j *Job) finish(state JobState, result json.RawMessage, errMsg string, now time.Time) {
+// SetTotal records a sweep's expected cell count.
+func (j *Job) SetTotal(n int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.total = n
+}
+
+// SetHit records whether the job was served from cache.
+func (j *Job) SetHit(hit bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.hit = hit
+}
+
+// finish moves the job to a terminal state exactly once, reporting
+// whether this call did.
+func (j *Job) finish(state JobState, result json.RawMessage, errMsg string, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		return
+		return false
 	}
 	j.state = state
 	j.result = result
@@ -334,6 +359,7 @@ func (j *Job) finish(state JobState, result json.RawMessage, errMsg string, now 
 	j.ended = now
 	j.notifyLocked()
 	close(j.done)
+	return true
 }
 
 // JobView is the wire representation of a job.
@@ -360,9 +386,9 @@ type JobView struct {
 	Result     json.RawMessage `json:"result,omitempty"`
 }
 
-// view snapshots the job. withResult controls whether the (possibly
+// View snapshots the job. withResult controls whether the (possibly
 // large) result payload is included.
-func (j *Job) view(withResult bool) JobView {
+func (j *Job) View(withResult bool) JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{
@@ -383,6 +409,163 @@ func (j *Job) view(withResult bool) JobView {
 		v.Result = j.result
 	}
 	return v
+}
+
+// JobTable is a daemon's job table and the lifecycle transitions of its
+// jobs: submission, begin-running, cancellation and finish. pcserved and
+// pcfleet each keep one; what a job executes stays with the daemon.
+type JobTable struct {
+	// Prefix starts every job ID ("j-" for pcserved, "f-" for pcfleet).
+	Prefix string
+	// QuietHits keeps cache_hit off the jobs' stream status lines (their
+	// views still report it): a gateway's warm stream must stay
+	// byte-identical to a backend's cold one.
+	QuietHits bool
+	// Transitions counts every state change (the daemon's *_jobs_total).
+	Transitions *obs.CounterVec
+	// Finished, when set, runs once per job just after it reaches a
+	// terminal state.
+	Finished func(id string, state JobState)
+
+	mu     sync.Mutex
+	byID   map[string]*Job
+	order  []*Job
+	nextID int
+}
+
+// Add builds a queued job under the table's next ID and inserts it.
+// admit, when set, runs before the insert (journal the job, hand it to
+// a worker); its error rejects the job and leaves the ID unused, so IDs
+// stay dense. admit runs with the table locked and must not call back
+// into the table.
+func (t *JobTable) Add(spec JobSpec, cfg *machine.Config, tenant string, admit func(*Job) error) (*Job, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	job := newJob(fmt.Sprintf("%s%06d", t.Prefix, t.nextID+1), spec, cfg, time.Now())
+	job.tenant = tenant
+	job.quietHit = t.QuietHits
+	if admit != nil {
+		if err := admit(job); err != nil {
+			return nil, err
+		}
+	}
+	t.nextID++
+	t.insertLocked(job)
+	return job, nil
+}
+
+// restore inserts a journal-recovered job under its original ID and
+// moves the ID counter past it.
+func (t *JobTable) restore(job *Job) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var n int
+	if _, err := fmt.Sscanf(job.id, t.Prefix+"%d", &n); err == nil && n > t.nextID {
+		t.nextID = n
+	}
+	job.quietHit = t.QuietHits
+	t.insertLocked(job)
+}
+
+func (t *JobTable) insertLocked(job *Job) {
+	if t.byID == nil {
+		t.byID = map[string]*Job{}
+	}
+	t.byID[job.id] = job
+	t.order = append(t.order, job)
+	t.Transitions.Inc(string(JobQueued))
+}
+
+// Get returns a job by id.
+func (t *JobTable) Get(id string) (*Job, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	job, ok := t.byID[id]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return job, nil
+}
+
+// List snapshots all jobs in submission order.
+func (t *JobTable) List() []JobView {
+	t.mu.Lock()
+	jobs := append([]*Job(nil), t.order...)
+	t.mu.Unlock()
+	out := make([]JobView, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.View(false)
+	}
+	return out
+}
+
+// Counts returns the number of jobs in each state.
+func (t *JobTable) Counts() map[string]int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	byState := map[string]int{}
+	for _, j := range t.order {
+		j.mu.Lock()
+		byState[string(j.state)]++
+		j.mu.Unlock()
+	}
+	return byState
+}
+
+// Begin moves a queued job to running, with cancel as the way to stop
+// it. It reports false, leaving the job alone, when the job already
+// finished (cancelled while queued): the caller must not run it and
+// releases whatever it reserved for it. A job cancelled since it was
+// queued has cancel called at once.
+func (t *JobTable) Begin(job *Job, cancel context.CancelFunc) bool {
+	job.mu.Lock()
+	if job.state.Terminal() {
+		job.mu.Unlock()
+		return false
+	}
+	job.state = JobRunning
+	job.started = time.Now()
+	job.cancel = cancel
+	cancelled := job.cancelled
+	job.notifyLocked()
+	job.mu.Unlock()
+	t.Transitions.Inc(string(JobRunning))
+	if cancelled {
+		cancel()
+	}
+	return true
+}
+
+// Cancel requests cancellation of a job. A queued job finishes
+// cancelled at once; a running job has its context cancelled and its
+// executor finishes it. Cancelling a finished job is a no-op.
+func (t *JobTable) Cancel(id string) (*Job, error) {
+	job, err := t.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	job.mu.Lock()
+	job.cancelled = true
+	state, cancel := job.state, job.cancel
+	job.mu.Unlock()
+	switch state {
+	case JobQueued:
+		t.Finish(job, JobCancelled, nil, "cancelled before execution")
+	case JobRunning:
+		cancel()
+	}
+	return job, nil
+}
+
+// Finish moves a job to a terminal state; only the first call counts.
+func (t *JobTable) Finish(job *Job, state JobState, result json.RawMessage, errMsg string) {
+	if !job.finish(state, result, errMsg, time.Now()) {
+		return
+	}
+	t.Transitions.Inc(string(state))
+	if t.Finished != nil {
+		t.Finished(job.id, state)
+	}
 }
 
 func presetNames(presets map[string]*machine.Config) string {

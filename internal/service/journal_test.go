@@ -91,7 +91,7 @@ func TestJournalFinishedJobNotReplayed(t *testing.T) {
 		j.finish("j-000001", JobDone)
 	})
 	srv, ts := newTestServer(t, Options{Workers: 1, JournalFile: path})
-	if _, err := srv.Get("j-000001"); err == nil {
+	if _, err := srv.jobs.Get("j-000001"); err == nil {
 		t.Error("finished job was resurrected from the journal")
 	}
 	if v := metricValue(t, ts, "pcserved_journal_recovered_total"); v != 0 {

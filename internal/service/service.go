@@ -101,10 +101,9 @@ type Server struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
+	jobs *JobTable
+
 	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []*Job
-	nextID    int
 	accepting bool
 	started   bool
 }
@@ -138,7 +137,7 @@ func New(opts Options) *Server {
 		lim = parexec.NewLimiter(opts.SweepParallelism)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		opts:       opts,
 		sweepLim:   lim,
 		cache:      NewBoundedCache(opts.CacheMaxEntries, opts.CacheMaxBytes),
@@ -147,9 +146,14 @@ func New(opts Options) *Server {
 		queue:      make(chan *Job, opts.QueueCap),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       map[string]*Job{},
 		accepting:  true,
 	}
+	s.jobs = &JobTable{Prefix: "j-", Transitions: s.metrics.jobs, Finished: func(id string, state JobState) {
+		if s.journal != nil {
+			s.journal.finish(id, state)
+		}
+	}}
+	return s
 }
 
 // Cache exposes the result cache (tests and tooling).
@@ -197,25 +201,20 @@ func (s *Server) recoverLocked(p pendingJob) {
 	job := newJob(p.ID, spec, cfg, time.Now())
 	job.tenant = p.Tenant
 	job.attempts = attempts
-	s.jobs[p.ID] = job
-	s.order = append(s.order, job)
-	if n := jobIDNumber(p.ID); n > s.nextID {
-		s.nextID = n
-	}
+	s.jobs.restore(job)
 	s.metrics.journalRecovered.Inc()
-	s.metrics.jobs.Inc(string(JobQueued))
 	switch {
 	case specErr != nil:
 		// The spec no longer validates (e.g. a preset directory changed
 		// across the restart): surface the error on the job itself.
-		s.finishJob(job, JobFailed, nil, specErr.Error())
+		s.jobs.Finish(job, JobFailed, nil, specErr.Error())
 	case attempts > s.opts.RetryBudget:
 		s.metrics.retriesExhausted.Inc()
-		s.finishJob(job, JobFailed, nil,
+		s.jobs.Finish(job, JobFailed, nil,
 			fmt.Sprintf("retry budget exhausted: interrupted %d times (budget %d)", p.Attempts, s.opts.RetryBudget))
 	default:
 		if err := s.journal.submit(p.ID, spec, p.Tenant, attempts); err != nil {
-			s.finishJob(job, JobFailed, nil, fmt.Sprintf("journal: %v", err))
+			s.jobs.Finish(job, JobFailed, nil, fmt.Sprintf("journal: %v", err))
 			return
 		}
 		go s.enqueueAfter(job, Backoff(s.opts.RetryBackoff, maxRetryBackoff, attempts-1))
@@ -234,7 +233,7 @@ func (s *Server) enqueueAfter(job *Job, delay time.Duration) {
 	s.mu.Lock()
 	if !s.accepting {
 		s.mu.Unlock()
-		s.finishJob(job, JobCancelled, nil, "cancelled by shutdown")
+		s.jobs.Finish(job, JobCancelled, nil, "cancelled by shutdown")
 		return
 	}
 	select {
@@ -242,18 +241,8 @@ func (s *Server) enqueueAfter(job *Job, delay time.Duration) {
 		s.mu.Unlock()
 	default:
 		s.mu.Unlock()
-		s.finishJob(job, JobFailed, nil, "queue full during journal recovery")
+		s.jobs.Finish(job, JobFailed, nil, "queue full during journal recovery")
 	}
-}
-
-// jobIDNumber parses the numeric part of a "j-%06d" job ID (0 if the ID
-// has another shape).
-func jobIDNumber(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "j-%d", &n); err != nil {
-		return 0
-	}
-	return n
 }
 
 // Shutdown gracefully stops the daemon: new submissions are refused
@@ -317,97 +306,33 @@ func (s *Server) SubmitWithTenant(spec JobSpec, tenant string) (*Job, error) {
 	if !s.accepting {
 		return nil, ErrDraining
 	}
-	s.nextID++
-	job := newJob(fmt.Sprintf("j-%06d", s.nextID), spec, cfg, time.Now())
-	job.tenant = tenant
-	// Journal before enqueue: a crash between the two replays the job on
-	// restart (at-least-once), never loses an accepted one.
-	if s.journal != nil {
-		if err := s.journal.submit(job.id, spec, tenant, 0); err != nil {
-			s.nextID--
-			return nil, fmt.Errorf("service: journal: %w", err)
-		}
-	}
-	select {
-	case s.queue <- job:
-	default:
-		s.nextID--
+	job, err := s.jobs.Add(spec, cfg, tenant, func(job *Job) error {
+		// Journal before enqueue: a crash between the two replays the job
+		// on restart (at-least-once), never loses an accepted one.
 		if s.journal != nil {
-			s.journal.finish(job.id, JobFailed)
+			if err := s.journal.submit(job.id, spec, tenant, 0); err != nil {
+				return fmt.Errorf("service: journal: %w", err)
+			}
 		}
-		return nil, ErrQueueFull
+		select {
+		case s.queue <- job:
+			return nil
+		default:
+			if s.journal != nil {
+				s.journal.finish(job.id, JobFailed)
+			}
+			return ErrQueueFull
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.jobs[job.id] = job
-	s.order = append(s.order, job)
-	s.metrics.jobs.Inc(string(JobQueued))
 	s.metrics.TenantJob(tenant)
 	return job, nil
 }
 
-// Get returns a job by id.
-func (s *Server) Get(id string) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return job, nil
-}
-
 // List snapshots all jobs in submission order.
-func (s *Server) List() []JobView {
-	s.mu.Lock()
-	jobs := append([]*Job(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]JobView, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.view(false)
-	}
-	return out
-}
-
-// Cancel requests cancellation of a job. A queued job transitions to
-// cancelled immediately; a running job's context is cancelled and the
-// simulator aborts within a few thousand simulated cycles. Cancelling a
-// terminal job is a no-op.
-func (s *Server) Cancel(id string) (*Job, error) {
-	job, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	job.mu.Lock()
-	job.cancelled = true
-	state := job.state
-	cancel := job.cancel
-	job.mu.Unlock()
-
-	switch state {
-	case JobQueued:
-		s.finishJob(job, JobCancelled, nil, "cancelled before execution")
-	case JobRunning:
-		if cancel != nil {
-			cancel()
-		}
-	}
-	return job, nil
-}
-
-// finishJob moves a job to a terminal state (once) and keeps the metrics
-// in step.
-func (s *Server) finishJob(job *Job, state JobState, result json.RawMessage, errMsg string) {
-	job.mu.Lock()
-	if job.state.Terminal() {
-		job.mu.Unlock()
-		return
-	}
-	job.mu.Unlock()
-	job.finish(state, result, errMsg, time.Now())
-	s.metrics.jobs.Inc(string(state))
-	if s.journal != nil {
-		s.journal.finish(job.id, state)
-	}
-}
+func (s *Server) List() []JobView { return s.jobs.List() }
 
 // worker drains the queue until Shutdown closes it.
 func (s *Server) worker() {
@@ -419,14 +344,6 @@ func (s *Server) worker() {
 
 // runJob executes one job end to end.
 func (s *Server) runJob(job *Job) {
-	job.mu.Lock()
-	if job.state.Terminal() { // cancelled while queued
-		job.mu.Unlock()
-		return
-	}
-	job.state = JobRunning
-	job.started = time.Now()
-	queueWait := job.started.Sub(job.created)
 	timeout := s.opts.DefaultTimeout
 	if job.spec.TimeoutMS > 0 {
 		timeout = time.Duration(job.spec.TimeoutMS) * time.Millisecond
@@ -438,6 +355,10 @@ func (s *Server) runJob(job *Job) {
 	} else {
 		ctx, cancel = context.WithCancel(s.baseCtx)
 	}
+	defer cancel()
+	if !s.jobs.Begin(job, cancel) { // cancelled while queued
+		return
+	}
 	// Intra-job cell parallelism: the width rides the context into
 	// runSweep and into the experiment drivers' internal fan-outs; the
 	// shared limiter keeps the total across all concurrent jobs bounded.
@@ -445,17 +366,7 @@ func (s *Server) runJob(job *Job) {
 	if s.sweepLim != nil {
 		ctx = parexec.WithLimiter(ctx, s.sweepLim)
 	}
-	job.cancel = cancel
-	alreadyCancelled := job.cancelled
-	job.notifyLocked()
-	job.mu.Unlock()
-	defer cancel()
-
-	s.metrics.jobs.Inc(string(JobRunning))
-	s.metrics.stages.Observe("queue", queueWait.Seconds())
-	if alreadyCancelled {
-		cancel()
-	}
+	s.metrics.stages.Observe("queue", job.started.Sub(job.created).Seconds())
 
 	payload, err := s.executeSafe(ctx, job)
 	runDur := time.Since(job.started)
@@ -463,18 +374,18 @@ func (s *Server) runJob(job *Job) {
 
 	switch {
 	case err == nil:
-		s.finishJob(job, JobDone, payload, "")
+		s.jobs.Finish(job, JobDone, payload, "")
 	case isCancellation(err) && jobWasCancelled(job):
-		s.finishJob(job, JobCancelled, nil, "cancelled")
+		s.jobs.Finish(job, JobCancelled, nil, "cancelled")
 	case errors.Is(err, context.DeadlineExceeded):
-		s.finishJob(job, JobFailed, nil, fmt.Sprintf("deadline exceeded after %s", runDur.Round(time.Millisecond)))
+		s.jobs.Finish(job, JobFailed, nil, fmt.Sprintf("deadline exceeded after %s", runDur.Round(time.Millisecond)))
 	case isCancellation(err):
 		// Shutdown cancelled the base context.
-		s.finishJob(job, JobCancelled, nil, "cancelled by shutdown")
+		s.jobs.Finish(job, JobCancelled, nil, "cancelled by shutdown")
 	case isBudgetExceeded(err):
-		s.finishJob(job, JobBudgetExceeded, nil, err.Error())
+		s.jobs.Finish(job, JobBudgetExceeded, nil, err.Error())
 	default:
-		s.finishJob(job, JobFailed, nil, err.Error())
+		s.jobs.Finish(job, JobFailed, nil, err.Error())
 	}
 }
 
@@ -534,11 +445,8 @@ func (s *Server) execute(ctx context.Context, job *Job) (json.RawMessage, error)
 // markHit flags the job as cache-served and attributes the hit to its
 // tenant.
 func (s *Server) markHit(job *Job) {
-	job.mu.Lock()
-	job.hit = true
-	tenant := job.tenant
-	job.mu.Unlock()
-	s.metrics.TenantHit(tenant)
+	job.SetHit(true)
+	s.metrics.TenantHit(job.tenant)
 }
 
 // experimentResult is the payload of an experiment job.
@@ -668,9 +576,7 @@ type sweepResult struct {
 func (s *Server) runSweep(ctx context.Context, job *Job) (json.RawMessage, error) {
 	sw := job.spec.Sweep
 	cells := sw.Cells()
-	job.mu.Lock()
-	job.total = len(cells)
-	job.mu.Unlock()
+	job.SetTotal(len(cells))
 
 	jobKey, err := sweepKey(sw, job.spec.Options)
 	if err != nil {
@@ -681,7 +587,7 @@ func (s *Server) runSweep(ctx context.Context, job *Job) (json.RawMessage, error
 		var res sweepResult
 		if err := json.Unmarshal(payload, &res); err == nil {
 			for _, cell := range res.Cells {
-				job.appendCell(cell)
+				job.AppendCell(cell)
 			}
 		}
 		s.markHit(job)
@@ -725,7 +631,7 @@ func (s *Server) runSweep(ctx context.Context, job *Job) (json.RawMessage, error
 				s.cache.Put(out.key, out.payload)
 			}
 			res.Cells = append(res.Cells, out.payload)
-			job.appendCell(out.payload)
+			job.AppendCell(out.payload)
 			return nil
 		})
 	if err != nil {
@@ -749,13 +655,8 @@ func MergeSweepPayload(sw *SweepSpec, cells []json.RawMessage) (json.RawMessage,
 
 // gauges samples the live state for /metrics.
 func (s *Server) gauges() Gauges {
+	byState := s.jobs.Counts()
 	s.mu.Lock()
-	byState := map[string]int{}
-	for _, j := range s.order {
-		j.mu.Lock()
-		byState[string(j.state)]++
-		j.mu.Unlock()
-	}
 	accepting := s.accepting
 	depth := len(s.queue)
 	s.mu.Unlock()

@@ -117,12 +117,12 @@ func TestStreamingSubmitHeaderBeforeRun(t *testing.T) {
 		t.Fatalf("streaming POST: status %d", resp.StatusCode)
 	}
 	id := resp.Header.Get("X-PC-Job")
-	job, err := srv.Get(id)
+	job, err := srv.jobs.Get(id)
 	if err != nil {
 		close(release)
 		t.Fatalf("X-PC-Job %q: %v", id, err)
 	}
-	if v := job.view(false); v.State != JobQueued {
+	if v := job.View(false); v.State != JobQueued {
 		close(release)
 		t.Fatalf("job %s is %s when its ID arrived, want queued", id, v.State)
 	}
