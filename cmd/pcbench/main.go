@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -48,13 +49,12 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	parexec.SetDefault(*jobs)
-	os.Exit(run(*exp, *machinePath, *asJSON, *outPath, *floor, *cpuProfile, *memProfile))
+	os.Exit(run(*exp, *jobs, *machinePath, *asJSON, *outPath, *floor, *cpuProfile, *memProfile))
 }
 
 // run holds the tool body so deferred profile writers execute before the
 // process exits.
-func run(exp, machinePath string, asJSON bool, outPath, floor, cpuProfile, memProfile string) int {
+func run(exp string, jobs int, machinePath string, asJSON bool, outPath, floor, cpuProfile, memProfile string) int {
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
@@ -117,7 +117,7 @@ func run(exp, machinePath string, asJSON bool, outPath, floor, cpuProfile, memPr
 		list = []experiments.Experiment{*e}
 	}
 
-	rc := &experiments.RunContext{Cfg: baseCfg}
+	rc := &experiments.RunContext{Ctx: parexec.WithLimit(context.Background(), jobs), Cfg: baseCfg}
 	allRows := make(map[string]any, len(list))
 	for i, e := range list {
 		if i > 0 {

@@ -7,6 +7,7 @@ import (
 
 	"pcoup/internal/faults"
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 	"pcoup/internal/sim"
 )
 
@@ -101,7 +102,7 @@ func DegradationCtx(ctx context.Context, cfg *machine.Config) ([]DegradationRow,
 		}
 	}
 	rows := make([]DegradationRow, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
 		r, err := ExecuteCtx(ctx, c.bench, COUPLED, c.cfg)
 		if err != nil {

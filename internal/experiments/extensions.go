@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"pcoup/internal/compiler"
 	"pcoup/internal/machine"
-	"pcoup/internal/sim"
+	"pcoup/internal/parexec"
 )
 
 // UnrollRow is one point of the automatic-unrolling extension: cycle
@@ -22,27 +21,6 @@ type UnrollRow struct {
 	Baseline int64 // hand-written loops only
 	Unrolled int64 // automatic unrolling of constant-trip loops
 	Gain     float64
-}
-
-// executeWith runs one cell with explicit compiler options.
-func executeWith(ctx context.Context, benchName string, mode Mode, cfg *machine.Config, opts compiler.Options) (int64, error) {
-	b, prog, _, err := compileCached(benchName, sourceKind(mode), 0, cfg, opts)
-	if err != nil {
-		return 0, err
-	}
-	s, err := sim.New(cfg, prog, sim.WithContext(ctx))
-	if err != nil {
-		return 0, err
-	}
-	res, err := s.Run(0)
-	if err != nil {
-		return 0, err
-	}
-	if err := b.Verify(peeker(s, prog)); err != nil {
-		return 0, fmt.Errorf("%s/%s: wrong result: %w", benchName, mode, err)
-	}
-	s.Release()
-	return res.Cycles, nil
 }
 
 // Unrolling measures the effect of automatic loop unrolling (up to 32
@@ -68,12 +46,14 @@ func UnrollingCtx(ctx context.Context, cfg *machine.Config) ([]UnrollRow, error)
 		}
 	}
 	cycles := make([]int64, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
-		opts := compiler.Options{Mode: compilerMode(c.mode), AutoUnroll: c.unroll}
-		n, err := executeWith(ctx, c.bench, c.mode, cfg, opts)
-		cycles[i] = n
-		return err
+		r, err := runCell(ctx, c.bench, c.mode, cfg, cellOpts{unroll: c.unroll})
+		if err != nil {
+			return err
+		}
+		cycles[i] = r.Cycles
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -130,7 +110,7 @@ func ThreadCapCtx(ctx context.Context, cfg *machine.Config) ([]ThreadCapRow, err
 		}
 	}
 	rows := make([]ThreadCapRow, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
 		cc := cfg.Clone()
 		cc.MaxThreads = c.cap

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 )
 
 // Figure5Row is one bar group of Figure 5: function-unit utilization (in
@@ -30,7 +31,7 @@ func Figure5Ctx(ctx context.Context, cfg *machine.Config) ([]Figure5Row, error) 
 	}
 	cells := benchModeCells([]Mode{SEQ, STS, TPE, COUPLED, IDEAL})
 	rows := make([]Figure5Row, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		r, err := ExecuteCtx(ctx, cells[i].bench, cells[i].mode, cfg)
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 )
 
 // Figure7Row is one point of Figure 7: cycle count of a benchmark in one
@@ -53,7 +54,7 @@ func Figure7Ctx(ctx context.Context, cfg *machine.Config) ([]Figure7Row, error) 
 		}
 	}
 	rows := make([]Figure7Row, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
 		cycles, err := averageCycles(ctx, c.bench, c.mode, cfg.WithMemory(c.mem))
 		if err != nil {

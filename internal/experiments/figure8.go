@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 )
 
 // Figure8Row is one point of the function-unit mix sweep: coupled-mode
@@ -40,7 +41,7 @@ func Figure8Ctx(ctx context.Context) ([]Figure8Row, error) {
 		}
 	}
 	rows := make([]Figure8Row, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
 		r, err := ExecuteCtx(ctx, c.bench, COUPLED, machine.Mix(c.iu, c.fpu))
 		if err != nil {

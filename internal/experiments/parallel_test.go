@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pcoup/internal/parexec"
 )
 
 // TestRunParallelStopsAfterError is a regression test: a failing cell
@@ -15,7 +18,7 @@ func TestRunParallelStopsAfterError(t *testing.T) {
 	const n = 1000
 	boom := errors.New("boom")
 	var calls int64
-	err := runParallel(n, func(i int) error {
+	err := parexec.Run(context.Background(), n, func(i int) error {
 		atomic.AddInt64(&calls, 1)
 		if i == 0 {
 			return boom
@@ -38,7 +41,7 @@ func TestRunParallelStopsAfterError(t *testing.T) {
 func TestRunParallelCompletes(t *testing.T) {
 	const n = 100
 	var calls int64
-	if err := runParallel(n, func(i int) error {
+	if err := parexec.Run(context.Background(), n, func(i int) error {
 		atomic.AddInt64(&calls, 1)
 		return nil
 	}); err != nil {

@@ -5,8 +5,8 @@ package experiments
 // byte-identical formatted text at any parallelism width. This suite
 // runs the whole registry at width 1 and width 4 and diffs the bytes;
 // it runs under -race in CI, so it doubles as the data-race check on
-// everything the parallel cells share (the sharded program cache, the
-// memory-image pool, per-Sim free lists).
+// everything the parallel cells share (the program cache and the
+// benchmarks it keeps, the memory-image pool, per-Sim free lists).
 
 import (
 	"bytes"
@@ -62,10 +62,11 @@ func TestParallelExperimentsByteIdentical(t *testing.T) {
 
 // TestConcurrentCellLifecycle is the shared-state stress test: many
 // goroutines construct, run, verify, and release the same cells at
-// once — hammering the sharded compiled-program cache, the memory-image
-// sync.Pool, and the per-Sim request free lists — while every result
-// must still equal the sequential reference. Run under -race this is
-// the cross-goroutine safety audit in executable form.
+// once — hammering the compiled-program cache and its shared
+// benchmarks, the memory-image sync.Pool, and the per-Sim request free
+// lists — while every result must still equal the sequential reference.
+// Run under -race this is the cross-goroutine safety audit in
+// executable form.
 func TestConcurrentCellLifecycle(t *testing.T) {
 	cfg := machine.Baseline()
 	type cellID struct {

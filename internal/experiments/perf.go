@@ -48,13 +48,12 @@ type ParallelSweepRow struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// ProgCacheTraffic snapshots the sharded compiled-program cache's
-// counters at the end of the perf run: how many lookups the sweeps made
-// and how few distinct compiles (fills) served them.
+// ProgCacheTraffic snapshots the compiled-program cache's counters at
+// the end of the perf run: how many lookups the sweeps made and how few
+// distinct compiles (fills) served them.
 type ProgCacheTraffic struct {
 	Lookups int64 `json:"lookups"`
 	Fills   int64 `json:"fills"`
-	Shards  int   `json:"shards"`
 }
 
 // PerfResult is the perf experiment's machine-readable output.
@@ -250,8 +249,8 @@ func PerfCtx(ctx context.Context, cfg *machine.Config) (*PerfResult, error) {
 	runtime.ReadMemStats(&after)
 	res.AllocsPerCycle = float64(after.Mallocs-before.Mallocs) / (float64(cycles) * allocReps)
 
-	lookups, fills, shards := ProgCacheStats()
-	res.ProgCache = ProgCacheTraffic{Lookups: lookups, Fills: fills, Shards: shards}
+	lookups, fills := ProgCacheStats()
+	res.ProgCache = ProgCacheTraffic{Lookups: lookups, Fills: fills}
 	return res, nil
 }
 
@@ -290,8 +289,8 @@ func WritePerf(w io.Writer, res *PerfResult) {
 			fmt.Fprintf(w, "    -j %d: %8.1f ms  %5.2fx\n", p.Jobs, p.WarmMs, p.Speedup)
 		}
 	}
-	fmt.Fprintf(w, "  program cache: %d lookups, %d fills over %d shards\n",
-		res.ProgCache.Lookups, res.ProgCache.Fills, res.ProgCache.Shards)
+	fmt.Fprintf(w, "  program cache: %d lookups, %d fills\n",
+		res.ProgCache.Lookups, res.ProgCache.Fills)
 	fmt.Fprintf(w, "  allocations:   %.3f per simulated cycle (matrix/Coupled, steady state)\n",
 		res.AllocsPerCycle)
 }

@@ -24,14 +24,14 @@ import (
 // its own memory image. The golden determinism test runs warm-cache
 // cells under -race to enforce this.
 //
-// The cache is sharded for the parallel cell-execution engine: a warm
-// sweep does one cache lookup per cell from every pool worker at once,
-// so entries spread over progShards independently-locked maps keyed by
-// an FNV-1a hash of the key. The read path takes only a shard RLock;
-// the compile itself runs under the entry's sync.Once, never under a
-// shard lock, so a slow compile on one shard cannot stall lookups (or
-// fills) elsewhere. Lookups/Fills counters expose the traffic for the
-// perf experiment's contention accounting.
+// Each entry also keeps the generated benchmark (its source and its
+// result checker, which only reads the memory image it is handed), so a
+// warm cell neither regenerates the source nor recompiles it. One
+// RWMutex guards the map: the warm path is a read lock, and the
+// generate-and-compile work runs under the entry's sync.Once, never
+// under the map lock, so a slow compile does not stall lookups of other
+// keys. Lookups/Fills counters expose the traffic for the perf
+// experiment.
 
 // progKey identifies one compile: the benchmark source instance and
 // every compiler-visible parameter.
@@ -43,55 +43,18 @@ type progKey struct {
 	cfg   string // compileFingerprint of the machine config
 }
 
-// shard maps the key onto a cache shard via FNV-1a over its fields.
-func (k progKey) shard() uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	mixStr := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint32(s[i])) * prime32
-		}
-	}
-	mixInt := func(v int) {
-		for b := 0; b < 4; b++ {
-			h = (h ^ (uint32(v>>(8*b)) & 0xff)) * prime32
-		}
-	}
-	mixStr(k.bench)
-	mixInt(int(k.kind))
-	mixInt(k.size)
-	mixInt(int(k.opts.Mode))
-	if k.opts.DisableOpt {
-		mixInt(1)
-	} else {
-		mixInt(0)
-	}
-	mixInt(k.opts.AutoUnroll)
-	mixStr(k.cfg)
-	return h % progShards
-}
-
 type progEntry struct {
 	once  sync.Once
+	bench *bench.Benchmark
 	prog  *isa.Program
 	diags *compiler.Diagnostics
 	err   error
 }
 
-const progShards = 16
-
-// progShard is one independently locked slice of the cache.
-type progShard struct {
-	mu sync.RWMutex
-	m  map[progKey]*progEntry
-}
-
-// progCacheT is the process-wide sharded compiled-program cache.
+// progCacheT is the process-wide compiled-program cache.
 type progCacheT struct {
-	shards  [progShards]progShard
+	mu      sync.RWMutex
+	m       map[progKey]*progEntry
 	lookups atomic.Int64 // total entry() calls
 	fills   atomic.Int64 // entries created (write-lock path taken for a new key)
 }
@@ -99,36 +62,35 @@ type progCacheT struct {
 var progCache progCacheT
 
 // entry returns the cache entry for key, creating it if absent. The
-// common warm path is a single shard RLock; only the first arrival for
-// a key upgrades to the write lock.
+// common warm path is a single RLock; only the first arrival for a key
+// takes the write lock.
 func (c *progCacheT) entry(key progKey) *progEntry {
 	c.lookups.Add(1)
-	sh := &c.shards[key.shard()]
-	sh.mu.RLock()
-	e := sh.m[key]
-	sh.mu.RUnlock()
+	c.mu.RLock()
+	e := c.m[key]
+	c.mu.RUnlock()
 	if e != nil {
 		return e
 	}
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = map[progKey]*progEntry{}
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[progKey]*progEntry{}
 	}
-	if e = sh.m[key]; e == nil {
+	if e = c.m[key]; e == nil {
 		e = &progEntry{}
-		sh.m[key] = e
+		c.m[key] = e
 		c.fills.Add(1)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	return e
 }
 
 // ProgCacheStats reports the compiled-program cache's traffic: total
-// lookups, entry fills (distinct compiles), and the shard count. The
-// perf experiment records it so BENCH_sim.json trajectories show how
-// much lookup traffic the parallel sweep engine puts on the cache.
-func ProgCacheStats() (lookups, fills int64, shards int) {
-	return progCache.lookups.Load(), progCache.fills.Load(), progShards
+// lookups and entry fills (distinct compiles). The perf experiment
+// records it so BENCH_sim.json trajectories show how much lookup
+// traffic the parallel sweep engine puts on the cache.
+func ProgCacheStats() (lookups, fills int64) {
+	return progCache.lookups.Load(), progCache.fills.Load()
 }
 
 // compileFingerprint hashes only the configuration the compiler reads:
@@ -150,18 +112,13 @@ func compileFingerprint(cfg *machine.Config) (string, error) {
 	return c.Hash()
 }
 
-// compileCached compiles (bench instance, options, machine) once and
-// returns the shared immutable program. size 0 selects the benchmark's
-// default problem size (bench.Get); other sizes go through bench.GetN.
+// compileCached generates and compiles (bench instance, options,
+// machine) once and returns the shared benchmark and immutable program.
+// size 0 selects the benchmark's default problem size (bench.Get); other
+// sizes go through bench.GetN. An unknown benchmark name is rejected
+// before any cache entry is created.
 func compileCached(benchName string, kind bench.SourceKind, size int, cfg *machine.Config, opts compiler.Options) (*bench.Benchmark, *isa.Program, *compiler.Diagnostics, error) {
-	var b *bench.Benchmark
-	var err error
-	if size == 0 {
-		b, err = bench.Get(benchName, kind)
-	} else {
-		b, err = bench.GetN(benchName, kind, size)
-	}
-	if err != nil {
+	if err := bench.CheckName(benchName); err != nil {
 		return nil, nil, nil, err
 	}
 	fp, err := compileFingerprint(cfg)
@@ -171,10 +128,17 @@ func compileCached(benchName string, kind bench.SourceKind, size int, cfg *machi
 	key := progKey{bench: benchName, kind: kind, size: size, opts: opts, cfg: fp}
 	e := progCache.entry(key)
 	e.once.Do(func() {
-		e.prog, e.diags, e.err = compiler.Compile(b.Source, cfg, opts)
+		if size == 0 {
+			e.bench, e.err = bench.Get(benchName, kind)
+		} else {
+			e.bench, e.err = bench.GetN(benchName, kind, size)
+		}
+		if e.err == nil {
+			e.prog, e.diags, e.err = compiler.Compile(e.bench.Source, cfg, opts)
+		}
 	})
 	if e.err != nil {
 		return nil, nil, nil, e.err
 	}
-	return b, e.prog, e.diags, nil
+	return e.bench, e.prog, e.diags, nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 )
 
 // RegisterRow reports compile-time register usage for one benchmark and
@@ -36,7 +37,7 @@ func RegistersCtx(ctx context.Context, cfg *machine.Config) ([]RegisterRow, erro
 	}
 	cells := benchModeCells([]Mode{SEQ, STS, TPE, COUPLED, IDEAL})
 	rows := make([]RegisterRow, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		r, err := ExecuteCtx(ctx, cells[i].bench, cells[i].mode, cfg)
 		if err != nil {
 			return err

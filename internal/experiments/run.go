@@ -84,6 +84,25 @@ func ModeSupported(benchName string, m Mode) bool {
 	return true
 }
 
+// cell identifies one (benchmark, mode, config) execution of a sweep.
+type cell struct {
+	bench string
+	mode  Mode
+}
+
+// benchModeCells enumerates benchmark x mode combinations that exist.
+func benchModeCells(modes []Mode) []cell {
+	var out []cell
+	for _, b := range []string{"matrix", "fft", "model", "lud"} {
+		for _, m := range modes {
+			if ModeSupported(b, m) {
+				out = append(out, cell{b, m})
+			}
+		}
+	}
+	return out
+}
+
 // Run compiles and simulates one (benchmark, mode, machine) combination,
 // verifying the computed results against the Go reference.
 type Run struct {
@@ -140,34 +159,60 @@ func Execute(benchName string, mode Mode, cfg *machine.Config, opts ...sim.Optio
 // simulator's cycle loop: cancelling ctx aborts the cell's simulation
 // within a few thousand simulated cycles.
 func ExecuteCtx(ctx context.Context, benchName string, mode Mode, cfg *machine.Config, opts ...sim.Option) (*Run, error) {
+	return runCell(ctx, benchName, mode, cfg, cellOpts{sim: opts})
+}
+
+// cellOpts is what a sweep's cells vary beyond (benchmark, mode,
+// machine).
+type cellOpts struct {
+	size   int          // problem size; 0 = the benchmark's default
+	unroll int          // compiler.Options.AutoUnroll
+	sim    []sim.Option // applied on top of the cell's configuration
+	// read, when set, sees the verified run and its final memory image
+	// before the image is recycled.
+	read func(r *Run, peek bench.Peek)
+}
+
+// runCell is the one compile → simulate → verify → release sequence
+// behind every benchmark cell of every experiment.
+func runCell(ctx context.Context, benchName string, mode Mode, cfg *machine.Config, o cellOpts) (*Run, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b, prog, diags, err := compileCached(benchName, sourceKind(mode), 0, cfg, compiler.Options{Mode: compilerMode(mode)})
-	if err != nil {
+	fail := func(err error) (*Run, error) {
 		return nil, fmt.Errorf("experiments: %s/%s: %w", benchName, mode, err)
 	}
-	simOpts := make([]sim.Option, 0, len(opts)+1)
-	simOpts = append(simOpts, opts...)
+	copts := compiler.Options{Mode: compilerMode(mode), AutoUnroll: o.unroll}
+	b, prog, diags, err := compileCached(benchName, sourceKind(mode), o.size, cfg, copts)
+	if err != nil {
+		return fail(err)
+	}
+	simOpts := make([]sim.Option, 0, len(o.sim)+1)
+	simOpts = append(simOpts, o.sim...)
 	simOpts = append(simOpts, sim.WithContext(ctx))
 	s, err := sim.New(cfg, prog, simOpts...)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", benchName, mode, err)
+		return fail(err)
 	}
 	res, err := s.Run(0)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", benchName, mode, err)
+		return fail(err)
 	}
-	if err := b.Verify(peeker(s, prog)); err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s: wrong result: %w", benchName, mode, err)
+	peek := peeker(s, prog)
+	if err := b.Verify(peek); err != nil {
+		return fail(fmt.Errorf("wrong result: %w", err))
 	}
-	// Verification was the last read of the memory image; recycle its
-	// backing so sweeps do not allocate a fresh image per cell.
-	s.Release()
-	return &Run{
+	r := &Run{
 		Bench: benchName, Mode: mode, Cfg: cfg,
 		Cycles: res.Cycles, Result: res, Diags: diags, Prog: prog,
-	}, nil
+	}
+	if o.read != nil {
+		o.read(r, peek)
+	}
+	// The memory image has had its last read; recycle its backing so
+	// sweeps do not allocate a fresh image per cell.
+	s.Release()
+	return r, nil
 }
 
 // peeker builds a bench.Peek over the simulator's final memory image.

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"pcoup/internal/compiler"
 	"pcoup/internal/machine"
-	"pcoup/internal/sim"
+	"pcoup/internal/parexec"
 )
 
 // ScalingRow is one point of the problem-size scaling study (an extension
@@ -55,25 +54,13 @@ func ScalingCtx(ctx context.Context, cfg *machine.Config) ([]ScalingRow, error) 
 		}
 	}
 	cycles := make([]int64, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		c := cells[i]
-		bm, prog, _, err := compileCached(c.bench, sourceKind(c.mode), c.size, cfg, compiler.Options{Mode: compilerMode(c.mode)})
+		r, err := runCell(ctx, c.bench, c.mode, cfg, cellOpts{size: c.size})
 		if err != nil {
-			return fmt.Errorf("scaling %s/%d/%s: %w", c.bench, c.size, c.mode, err)
+			return fmt.Errorf("scaling size %d: %w", c.size, err)
 		}
-		s, err := sim.New(cfg, prog, sim.WithContext(ctx))
-		if err != nil {
-			return err
-		}
-		res, err := s.Run(0)
-		if err != nil {
-			return fmt.Errorf("scaling %s/%d/%s: %w", c.bench, c.size, c.mode, err)
-		}
-		if err := bm.Verify(peeker(s, prog)); err != nil {
-			return fmt.Errorf("scaling %s/%d/%s: wrong result: %w", c.bench, c.size, c.mode, err)
-		}
-		s.Release()
-		cycles[i] = res.Cycles
+		cycles[i] = r.Cycles
 		return nil
 	})
 	if err != nil {

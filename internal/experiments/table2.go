@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"pcoup/internal/machine"
+	"pcoup/internal/parexec"
 )
 
 // Table2Row is one row of Table 2: baseline cycle counts and FPU/IU
@@ -35,7 +36,7 @@ func Table2Ctx(ctx context.Context, cfg *machine.Config) ([]Table2Row, error) {
 	}
 	cells := benchModeCells([]Mode{SEQ, STS, TPE, COUPLED, IDEAL})
 	runs := make([]*Run, len(cells))
-	err := runParallelCtx(ctx, len(cells), func(i int) error {
+	err := parexec.Run(ctx, len(cells), func(i int) error {
 		r, err := ExecuteCtx(ctx, cells[i].bench, cells[i].mode, cfg)
 		runs[i] = r
 		return err

@@ -6,9 +6,7 @@ import (
 	"io"
 
 	"pcoup/internal/bench"
-	"pcoup/internal/compiler"
 	"pcoup/internal/machine"
-	"pcoup/internal/sim"
 )
 
 // Table3Row is one row of Table 3: for one thread, the compile-time
@@ -49,67 +47,31 @@ func Table3Ctx(ctx context.Context, cfg *machine.Config) (*Table3Result, error) 
 	out := &Table3Result{}
 
 	// STS: single thread; the inner loop of main is the whole workload.
-	{
-		b, err := bench.Get("modelq", bench.Sequential)
-		if err != nil {
-			return nil, err
-		}
-		prog, diags, err := compiler.Compile(b.Source, cfg, compiler.Options{Mode: compiler.Unrestricted})
-		if err != nil {
-			return nil, err
-		}
-		s, err := sim.New(cfg, prog, sim.WithContext(ctx))
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.Run(0)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Verify(peeker(s, prog)); err != nil {
-			return nil, err
-		}
-		d, _ := diags.Diag("main")
-		out.STSCycles = res.Cycles
-		out.Rows = append(out.Rows, Table3Row{
-			Mode: STS, Thread: 1,
-			CompileSchedule: d.LoopWords,
-			RuntimeCycles:   float64(res.Cycles) / 20,
-			Devices:         20,
-		})
+	sts, err := runCell(ctx, "modelq", STS, cfg, cellOpts{})
+	if err != nil {
+		return nil, err
 	}
+	d, _ := sts.Diags.Diag("main")
+	out.STSCycles = sts.Cycles
+	out.Rows = append(out.Rows, Table3Row{
+		Mode: STS, Thread: 1,
+		CompileSchedule: d.LoopWords,
+		RuntimeCycles:   float64(sts.Cycles) / 20,
+		Devices:         20,
+	})
 
-	// Coupled: four worker threads drawing from the shared queue.
-	{
-		b, err := bench.Get("modelq", bench.Threaded)
-		if err != nil {
-			return nil, err
-		}
-		prog, diags, err := compiler.Compile(b.Source, cfg, compiler.Options{Mode: compiler.Unrestricted})
-		if err != nil {
-			return nil, err
-		}
-		s, err := sim.New(cfg, prog, sim.WithContext(ctx))
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.Run(0)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Verify(peeker(s, prog)); err != nil {
-			return nil, err
-		}
-		out.CoupledCycles = res.Cycles
-		peek := peeker(s, prog)
+	// Coupled: four worker threads drawing from the shared queue; each
+	// worker's device count is read from the final memory image.
+	_, err = runCell(ctx, "modelq", COUPLED, cfg, cellOpts{read: func(r *Run, peek bench.Peek) {
+		out.CoupledCycles = r.Cycles
 		worker := 0
 		var totalCycles float64
 		var totalDevices int64
-		for _, t := range res.Threads {
+		for _, t := range r.Result.Threads {
 			if t.Segment == "main" {
 				continue
 			}
-			d, _ := diags.Diag(t.Segment)
+			d, _ := r.Diags.Diag(t.Segment)
 			count, _ := peek("counts", int64(worker))
 			devices := count.AsInt()
 			dur := float64(t.HaltAt - t.SpawnAt)
@@ -130,6 +92,9 @@ func Table3Ctx(ctx context.Context, cfg *machine.Config) (*Table3Result, error) 
 		if totalDevices > 0 {
 			out.CoupledWeighted = totalCycles / float64(totalDevices)
 		}
+	}})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

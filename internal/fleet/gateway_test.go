@@ -214,6 +214,55 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSweepCachesEachCellOnce: a sweep stores each cell once, under its
+// cell key, on a lone pcserved and on a backend behind a gateway (where
+// every scattered cell arrives as a one-cell sweep). An identical
+// resubmission is a cache hit whose cells stream and merge byte-
+// identically, and it adds no entry.
+func TestSweepCachesEachCellOnce(t *testing.T) {
+	spec := service.JobSpec{Sweep: &service.SweepSpec{Benches: []string{"matrix"}, MinIU: 1, MaxIU: 2}}
+	const cells = 4
+	lone, _, _ := startBackend(t, service.Options{})
+	backend, _, _ := startBackend(t, service.Options{})
+	_, gwTS := startGateway(t, []string{backend}, nil)
+
+	// cellLines drops the stream's status line, which carries cache_hit
+	// on a lone pcserved's hit.
+	cellLines := func(stream []byte) []byte {
+		return stream[:bytes.LastIndexByte(bytes.TrimSuffix(stream, []byte("\n")), '\n')+1]
+	}
+	for _, tc := range []struct{ name, submitURL, backendURL string }{
+		{"alone", lone, lone},
+		{"gateway", gwTS.URL, backend},
+	} {
+		first := waitJob(t, tc.submitURL, submitJob(t, tc.submitURL, spec).ID)
+		if first.State != service.JobDone || first.CellsDone != cells {
+			t.Fatalf("%s: sweep %s with %d cells (%s)", tc.name, first.State, first.CellsDone, first.Error)
+		}
+		if first.CacheHit {
+			t.Fatalf("%s: cold sweep claims a cache hit", tc.name)
+		}
+		if n := metricValue(t, tc.backendURL, "pcserved_cache_entries"); n != cells {
+			t.Fatalf("%s: %d-cell sweep left %v cache entries, want %d", tc.name, cells, n, cells)
+		}
+
+		second := waitJob(t, tc.submitURL, submitJob(t, tc.submitURL, spec).ID)
+		if second.State != service.JobDone || !second.CacheHit {
+			t.Fatalf("%s: resubmission %s, cache_hit %v", tc.name, second.State, second.CacheHit)
+		}
+		if !bytes.Equal(first.Result, second.Result) {
+			t.Fatalf("%s: resubmitted result differs", tc.name)
+		}
+		s1, s2 := streamBytes(t, tc.submitURL, first.ID), streamBytes(t, tc.submitURL, second.ID)
+		if !bytes.Equal(cellLines(s1), cellLines(s2)) || len(cellLines(s1)) == 0 {
+			t.Fatalf("%s: resubmitted stream differs:\n first: %q\nsecond: %q", tc.name, s1, s2)
+		}
+		if n := metricValue(t, tc.backendURL, "pcserved_cache_entries"); n != cells {
+			t.Fatalf("%s: resubmission left %v cache entries, want %d", tc.name, n, cells)
+		}
+	}
+}
+
 // TestFleetUnitJobForward: non-sweep jobs forward whole to their
 // content-key owner, and the repeat hits the same backend's cache.
 func TestFleetUnitJobForward(t *testing.T) {

@@ -1,6 +1,10 @@
 package oracle
 
-import "testing"
+import (
+	"testing"
+
+	"pcoup/internal/isa"
+)
 
 // TestSanity pins the interpreter against a hand-computed program.
 func TestSanity(t *testing.T) {
@@ -66,5 +70,33 @@ func TestNonTermination(t *testing.T) {
     (while (> x 0) (set x (+ x 1)))))`
 	if _, err := Run(src); err == nil {
 		t.Fatal("non-terminating program did not error")
+	}
+}
+
+// TestCompare pins the image comparison both differential checkers use:
+// hidden cells are skipped, a global absent from the layout is reported
+// as missing, and the first differing word is reported in name order.
+func TestCompare(t *testing.T) {
+	want := map[string][]isa.Value{
+		"a":     {isa.Int(1), isa.Int(2)},
+		"b":     {isa.Int(3)},
+		"_lock": {isa.Int(9)},
+	}
+	data := []isa.DataSegment{{Name: "a", Addr: 0}, {Name: "b", Addr: 2}}
+	mem := []isa.Value{isa.Int(1), isa.Int(2), isa.Int(3)}
+	read := func(addr int64) isa.Value { return mem[addr] }
+	if d := Compare(want, data, read); d != nil {
+		t.Fatalf("equal images diverge: %+v", d)
+	}
+
+	mem[1], mem[2] = isa.Int(7), isa.Int(8)
+	d := Compare(want, data, read)
+	if d == nil || d.Missing || d.Global != "a" || d.Index != 1 || !d.Got.Equal(isa.Int(7)) || !d.Want.Equal(isa.Int(2)) {
+		t.Fatalf("divergence = %+v, want a[1] = 7 vs 2", d)
+	}
+
+	d = Compare(map[string][]isa.Value{"gone": {isa.Int(0)}}, data, read)
+	if d == nil || !d.Missing || d.Global != "gone" {
+		t.Fatalf("missing global reported as %+v", d)
 	}
 }

@@ -17,51 +17,27 @@
 //     would have produced. A cancelled or failed stream emits a
 //     contiguous prefix of that sequence and nothing else.
 //
-// Parallelism resolves in three layers: an explicit per-call width
-// carried on the context (WithLimit — the -j flag, pcserved's
-// -sweep-parallelism), else the process default (SetDefault), else
-// GOMAXPROCS. A shared Limiter (WithLimiter) additionally bounds
-// in-flight cells across concurrent sweeps, so a daemon running many
-// sweep jobs under its own worker pool keeps a global cap on
-// simulation concurrency instead of multiplying the two pools.
+// Parallelism resolves in two layers: an explicit per-call width
+// carried on the context (WithLimit — pcbench's -j flag, pcserved's
+// -sweep-parallelism), else GOMAXPROCS. A shared Limiter (WithLimiter)
+// additionally bounds in-flight cells across concurrent sweeps, so a
+// daemon running many sweep jobs under its own worker pool keeps a
+// global cap on simulation concurrency instead of multiplying the two
+// pools.
 package parexec
 
 import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// defaultLimit holds the process-wide parallelism default; 0 selects
-// GOMAXPROCS at call time.
-var defaultLimit atomic.Int64
-
-// SetDefault sets the process-wide default parallelism for Run and
-// Stream calls whose context carries no explicit limit. n <= 0 restores
-// the built-in default (GOMAXPROCS). CLI -j flags call this once at
-// startup.
-func SetDefault(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultLimit.Store(int64(n))
-}
-
-// Default returns the effective process-wide parallelism default.
-func Default() int {
-	if v := defaultLimit.Load(); v > 0 {
-		return int(v)
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 type limitKey struct{}
 type limiterKey struct{}
 
 // WithLimit returns a context carrying an explicit parallelism width
-// for Run/Stream calls beneath it. n <= 0 removes the override (the
-// process default applies again).
+// for Run/Stream calls beneath it. n <= 0 removes the override
+// (GOMAXPROCS applies again).
 func WithLimit(ctx context.Context, n int) context.Context {
 	if n <= 0 {
 		n = 0
@@ -70,12 +46,12 @@ func WithLimit(ctx context.Context, n int) context.Context {
 }
 
 // LimitFrom resolves the effective parallelism for a call under ctx:
-// the context's explicit width if set, else the process default.
+// the context's explicit width if set, else GOMAXPROCS.
 func LimitFrom(ctx context.Context) int {
 	if v, ok := ctx.Value(limitKey{}).(int); ok && v > 0 {
 		return v
 	}
-	return Default()
+	return runtime.GOMAXPROCS(0)
 }
 
 // Limiter is a counting semaphore bounding in-flight cells across
@@ -92,9 +68,6 @@ func NewLimiter(capacity int) *Limiter {
 	}
 	return &Limiter{sem: make(chan struct{}, capacity)}
 }
-
-// Capacity returns the limiter's concurrency bound.
-func (l *Limiter) Capacity() int { return cap(l.sem) }
 
 // acquire takes a token, abandoning the wait if ctx is cancelled.
 func (l *Limiter) acquire(ctx context.Context) error {
@@ -128,86 +101,17 @@ func limiterFrom(ctx context.Context) *Limiter {
 	return lim
 }
 
-// Run executes fn(i) for every i in [0, n) over a bounded pool of
-// goroutines sized by LimitFrom(ctx) (never more than n). Cells must be
-// independent; callers record results by index so output order is
-// completion-order-free. The first failure stops dispatch (cells
-// already running finish), and among all recorded failures the
-// lowest-index one is returned — the same error sequential execution
-// returns, since cells are deterministic. If no cell failed and ctx was
+// Run executes fn(i) for every i in [0, n) over Stream's pool with
+// nothing to emit. Cells must be independent; callers record results by
+// index so output order is completion-order-free. The first failure
+// stops dispatch (cells already running finish), and the lowest-index
+// failure is returned — the same error sequential execution returns,
+// since cells are deterministic. If no cell failed and ctx was
 // cancelled, ctx.Err() is returned.
 func Run(ctx context.Context, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	workers := LimitFrom(ctx)
-	if workers > n {
-		workers = n
-	}
-	lim := limiterFrom(ctx)
-	if workers <= 1 && lim == nil {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		errIdx int
-		first  error
-	)
-	done := make(chan struct{})
-	record := func(i int, err error) {
-		mu.Lock()
-		if first == nil {
-			errIdx, first = i, err
-			close(done)
-		} else if i < errIdx {
-			errIdx, first = i, err
-		}
-		mu.Unlock()
-	}
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := lim.acquire(ctx); err != nil {
-					record(i, err)
-					continue
-				}
-				err := fn(i)
-				lim.release()
-				if err != nil {
-					record(i, err)
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-done:
-			break feed
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if first != nil {
-		return first
-	}
-	return ctx.Err()
+	return Stream(ctx, n,
+		func(_ context.Context, i int) (struct{}, error) { return struct{}{}, fn(i) },
+		func(int, struct{}) error { return nil })
 }
 
 // streamResult carries one cell's outcome to the merging coordinator.
@@ -222,8 +126,12 @@ type streamResult[T any] struct {
 // goroutine. The emitted sequence is byte-identical to sequential
 // execution: on the first error (a cell's, or emit's own), exactly the
 // cells before the failing index have been emitted, and that error is
-// returned after in-flight cells drain. Cancellation likewise yields a
-// contiguous prefix and ctx.Err().
+// returned after in-flight cells drain. Any cell's failure stops
+// dispatch at once: every lower index was already dispatched, and no
+// higher index can be emitted. Cancellation likewise yields a
+// contiguous prefix and ctx.Err(). The pool holds LimitFrom(ctx)
+// workers (never more than n); width 1 with no shared limiter runs the
+// cells on the calling goroutine.
 func Stream[T any](ctx context.Context, n int, run func(ctx context.Context, i int) (T, error), emit func(i int, v T) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -266,6 +174,9 @@ func Stream[T any](ctx context.Context, n int, run func(ctx context.Context, i i
 				}
 				v, err := run(ctx, i)
 				lim.release()
+				if err != nil {
+					stop()
+				}
 				results <- streamResult[T]{i: i, v: v, err: err}
 			}
 		}()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,16 +236,11 @@ func TestLimiterBoundsAcrossStreams(t *testing.T) {
 }
 
 func TestWithLimitResolution(t *testing.T) {
-	SetDefault(3)
-	defer SetDefault(0)
-	if got := LimitFrom(context.Background()); got != 3 {
-		t.Fatalf("process default not honored: %d", got)
-	}
 	if got := LimitFrom(WithLimit(context.Background(), 7)); got != 7 {
 		t.Fatalf("context override not honored: %d", got)
 	}
-	if got := LimitFrom(WithLimit(context.Background(), 0)); got != 3 {
-		t.Fatalf("zero override should fall back to default: %d", got)
+	if got, want := LimitFrom(WithLimit(context.Background(), 0)), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("zero override should fall back to GOMAXPROCS (%d): %d", want, got)
 	}
 }
 

@@ -3,10 +3,10 @@ package progfuzz
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"pcoup/internal/compiler"
 	"pcoup/internal/experiments"
+	"pcoup/internal/isa"
 	"pcoup/internal/machine"
 	"pcoup/internal/oracle"
 	"pcoup/internal/sim"
@@ -64,26 +64,14 @@ func DiffProgram(ctx context.Context, src string, cfg *machine.Config, maxCycles
 		if _, err := s.Run(maxCycles); err != nil {
 			return fmt.Errorf("progfuzz: run under %s: %w", mode, err)
 		}
-		addrs := map[string]int64{}
-		for _, d := range prog.Data {
-			addrs[d.Name] = d.Addr
-		}
-		for name, vals := range want {
-			if strings.HasPrefix(name, "_") {
-				continue // hidden synchronization cells
+		read := func(addr int64) isa.Value { v, _ := s.Memory().Peek(addr); return v }
+		if d := oracle.Compare(want, prog.Data, read); d != nil {
+			if d.Missing {
+				return fmt.Errorf("progfuzz: global %q missing from program under %s", d.Global, mode)
 			}
-			base, ok := addrs[name]
-			if !ok {
-				return fmt.Errorf("progfuzz: global %q missing from program under %s", name, mode)
-			}
-			for i, w := range vals {
-				got, _ := s.Memory().Peek(base + int64(i))
-				if !got.Equal(w) {
-					return &DivergenceError{
-						Mode: mode, Global: name, Index: int64(i),
-						Sim: got.String(), Oracle: w.String(),
-					}
-				}
+			return &DivergenceError{
+				Mode: mode, Global: d.Global, Index: d.Index,
+				Sim: d.Got.String(), Oracle: d.Want.String(),
 			}
 		}
 		s.Release()

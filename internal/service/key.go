@@ -148,15 +148,3 @@ func SweepCellContentKey(c SweepCell, modeName string, o SimOptions) (string, er
 func ExperimentContentKey(name string, cfg *machine.Config, o SimOptions) (string, error) {
 	return experimentKey(name, cfg, o)
 }
-
-// sweepKey keys a whole unit-mix sweep job (per-cell results are
-// additionally cached under their own cellKeys; Mix builds its own
-// machines, so the key hashes the sweep geometry instead of a config).
-func sweepKey(sw *SweepSpec, o SimOptions) (string, error) {
-	geom, err := json.Marshal(sw)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(geom)
-	return keyDoc{Kind: "sweep", SourceSHA: suiteDigest(), MachineSHA: "mix", Options: o, Extra: hex.EncodeToString(sum[:])}.hash(), nil
-}

@@ -262,24 +262,14 @@ func verifyProgram(src string, prog *isa.Program, sm *sim.Sim) error {
 	if err != nil {
 		return &ProgramError{Err: fmt.Errorf("verify: interpreter: %w", err)}
 	}
-	addrs := map[string]int64{}
-	for _, d := range prog.Data {
-		addrs[d.Name] = d.Addr
+	read := func(addr int64) isa.Value { v, _ := sm.Memory().Peek(addr); return v }
+	d := oracle.Compare(want, prog.Data, read)
+	switch {
+	case d == nil:
+		return nil
+	case d.Missing:
+		return fmt.Errorf("verify: global %q missing from compiled program", d.Global)
+	default:
+		return fmt.Errorf("verify: divergence: %s[%d] = %v, interpreter says %v", d.Global, d.Index, d.Got, d.Want)
 	}
-	for name, vals := range want {
-		if strings.HasPrefix(name, "_") {
-			continue
-		}
-		base, ok := addrs[name]
-		if !ok {
-			return fmt.Errorf("verify: global %q missing from compiled program", name)
-		}
-		for i, w := range vals {
-			got, _ := sm.Memory().Peek(base + int64(i))
-			if !got.Equal(w) {
-				return fmt.Errorf("verify: divergence: %s[%d] = %v, interpreter says %v", name, i, got, w)
-			}
-		}
-	}
-	return nil
 }

@@ -578,38 +578,25 @@ func (s *Server) runSweep(ctx context.Context, job *Job) (json.RawMessage, error
 	cells := sw.Cells()
 	job.SetTotal(len(cells))
 
-	jobKey, err := sweepKey(sw, job.spec.Options)
-	if err != nil {
-		return nil, err
-	}
-	if payload, ok := s.cache.Get(jobKey); ok {
-		// Replay the cached cells to any stream subscribers.
-		var res sweepResult
-		if err := json.Unmarshal(payload, &res); err == nil {
-			for _, cell := range res.Cells {
-				job.AppendCell(cell)
-			}
-		}
-		s.markHit(job)
-		return payload, nil
-	}
-
 	// Cells execute in parallel (width and shared limiter from ctx, set
 	// in runJob), but results are merged in grid order: cache fills,
-	// res.Cells, and the NDJSON stream (job.appendCell) all happen in the
+	// the payload's cells, and the NDJSON stream (job.appendCell) all happen in the
 	// emit stage, which parexec.Stream runs strictly in submission order.
 	// The payload and the streamed bytes are therefore identical to the
 	// sequential loop's, and a mid-sweep cancellation still streams a
 	// contiguous prefix. Only the cache's LRU recency order can differ
-	// (parallel lookups touch entries in completion order).
+	// (parallel lookups touch entries in completion order). Each cell is
+	// cached once, under its cellKey; the job is a cache hit when every
+	// cell was.
 	mode := experiments.Mode(sw.Mode)
-	res := sweepResult{Sweep: *sw, Cells: make([]json.RawMessage, 0, len(cells))}
+	payloads := make([]json.RawMessage, 0, len(cells))
 	type cellOut struct {
 		key     string
 		payload json.RawMessage
 		hit     bool
 	}
-	err = parexec.Stream(ctx, len(cells),
+	allHit := true
+	err := parexec.Stream(ctx, len(cells),
 		func(ctx context.Context, i int) (cellOut, error) {
 			c := cells[i]
 			cfg := machine.Mix(c.IU, c.FPU)
@@ -628,21 +615,20 @@ func (s *Server) runSweep(ctx context.Context, job *Job) (json.RawMessage, error
 		},
 		func(i int, out cellOut) error {
 			if !out.hit {
+				allHit = false
 				s.cache.Put(out.key, out.payload)
 			}
-			res.Cells = append(res.Cells, out.payload)
+			payloads = append(payloads, out.payload)
 			job.AppendCell(out.payload)
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		return nil, err
+	if allHit {
+		s.markHit(job)
 	}
-	s.cache.Put(jobKey, payload)
-	return payload, nil
+	return MergeSweepPayload(sw, payloads)
 }
 
 // MergeSweepPayload reconstitutes a whole-sweep result payload from
