@@ -72,24 +72,82 @@ func TestComments(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	forms, err := Parse("(a\n  (b))")
+	src := "; header comment\n" +
+		`(sym 42 -1.5 "a\"b" (x)) ; trailing` + "\n" +
+		`  "s\n" tail` + "\n" +
+		"\"two\nlines\" 7 ()"
+	forms, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := forms[0].List[1]
-	if inner.Line != 2 || inner.Col != 3 {
-		t.Errorf("inner position = %d:%d, want 2:3", inner.Line, inner.Col)
+	if len(forms) != 6 {
+		t.Fatalf("got %d forms, want 6", len(forms))
+	}
+	list := forms[0]
+	cases := []struct {
+		name      string
+		n         *Node
+		kind      Kind
+		line, col int
+	}{
+		{"list after comment", list, KList, 2, 1},
+		{"symbol", list.List[0], KSymbol, 2, 2},
+		{"int", list.List[1], KInt, 2, 6},
+		{"float", list.List[2], KFloat, 2, 9},
+		{"escaped string", list.List[3], KString, 2, 14},
+		{"list after escaped string", list.List[4], KList, 2, 21},
+		{"symbol in nested list", list.List[4].List[0], KSymbol, 2, 22},
+		{"string after trailing comment", forms[1], KString, 3, 3},
+		{"symbol after escaped string", forms[2], KSymbol, 3, 9},
+		{"multi-line string", forms[3], KString, 4, 1},
+		{"int after multi-line string", forms[4], KInt, 5, 8},
+		{"empty list", forms[5], KList, 5, 10},
+	}
+	for _, c := range cases {
+		if c.n.Kind != c.kind || c.n.Line != c.line || c.n.Col != c.col {
+			t.Errorf("%s: kind %v at %d:%d, want kind %v at %d:%d", c.name, c.n.Kind, c.n.Line, c.n.Col, c.kind, c.line, c.col)
+		}
 	}
 }
 
+// TestParseErrors pins the type, fields and text of every reader
+// rejection, positions included.
 func TestParseErrors(t *testing.T) {
-	for _, src := range []string{"(a", ")", "(a))", `"unterminated`, "(1.2.3)"} {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q) accepted malformed input", src)
+	syntax := func(line, col int, msg string) error { return &SyntaxError{Line: line, Col: col, Msg: msg} }
+	limit := func(what string, limit, line, col int) error {
+		return &LimitError{What: what, Limit: limit, Line: line, Col: col}
+	}
+	cases := []struct {
+		src  string
+		lim  Limits
+		want error
+		text string
+	}{
+		{"(a", Limits{}, syntax(1, 3, "unterminated list opened at 1:1"), "sexpr: 1:3: unterminated list opened at 1:1"},
+		{"(a\n  (b c", Limits{}, syntax(2, 7, "unterminated list opened at 2:3"), "sexpr: 2:7: unterminated list opened at 2:3"},
+		{")", Limits{}, syntax(1, 1, "unexpected ')'"), "sexpr: 1:1: unexpected ')'"},
+		{"(a))", Limits{}, syntax(1, 4, "unexpected ')'"), "sexpr: 1:4: unexpected ')'"},
+		{`"unterminated`, Limits{}, syntax(1, 14, "unterminated string"), "sexpr: 1:14: unterminated string"},
+		{`(a "b\`, Limits{}, syntax(1, 7, "unterminated escape"), "sexpr: 1:7: unterminated escape"},
+		{"(1.2.3)", Limits{}, syntax(1, 7, `malformed number "1.2.3"`), `sexpr: 1:7: malformed number "1.2.3"`},
+		{"; c\n  -9x", Limits{}, syntax(2, 6, `malformed number "-9x"`), `sexpr: 2:6: malformed number "-9x"`},
+		{"(a \v)", Limits{}, syntax(1, 4, `invalid character '\v'`), `sexpr: 1:4: invalid character '\v'`},
+		{"(a b c)", Limits{MaxBytes: 3}, limit("bytes", 3, 0, 0), "sexpr: source exceeds bytes limit 3"},
+		{"(a b\n c d e)", Limits{MaxNodes: 4}, limit("nodes", 4, 2, 4), "sexpr: 2:4: source exceeds nodes limit 4"},
+		{"(a (b (c)))", Limits{MaxDepth: 2}, limit("depth", 2, 1, 7), "sexpr: 1:7: source exceeds depth limit 2"},
+	}
+	for _, c := range cases {
+		_, err := ParseLimits(c.src, c.lim)
+		if !reflect.DeepEqual(err, c.want) {
+			t.Errorf("ParseLimits(%q) = %#v, want %#v", c.src, err, c.want)
+			continue
+		}
+		if err.Error() != c.text {
+			t.Errorf("ParseLimits(%q) error text %q, want %q", c.src, err.Error(), c.text)
 		}
 	}
-	if _, err := ParseOne("(a) (b)"); err == nil {
-		t.Error("ParseOne accepted two forms")
+	if _, err := ParseOne("(a) (b)"); err == nil || err.Error() != "sexpr: expected one form, found 2" {
+		t.Errorf("ParseOne of two forms = %v", err)
 	}
 }
 
