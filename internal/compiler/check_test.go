@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -66,11 +67,22 @@ func errClass(err error) string {
 	return fmt.Sprintf("%T", err)
 }
 
-// TestCheckMatchesCompile runs CheckBounded and CompileBounded over the
-// progfuzz corpus and the bomb sources under the service limits and under
-// limits tightened one dimension at a time: every input must be accepted
-// by both or rejected by both with the same error type and message, and
-// every typed rejection must fire on some input.
+// lowerSource is the submission check of a service: ParseBounded, then
+// LowerBounded on the default machine.
+func lowerSource(ctx context.Context, src string, opts compiler.Options, lim compiler.Limits) (*compiler.Lowered, error) {
+	forms, err := compiler.ParseBounded(src, lim)
+	if err != nil {
+		return nil, err
+	}
+	return compiler.LowerBounded(ctx, forms, nil, opts, lim)
+}
+
+// TestCheckMatchesCompile runs the submission check (ParseBounded and
+// LowerBounded) and CompileBounded over the progfuzz corpus and the bomb
+// sources under the service limits and under limits tightened one
+// dimension at a time: every input must be accepted by both or rejected
+// by both with the same error type and message, and every typed
+// rejection must fire on some input.
 func TestCheckMatchesCompile(t *testing.T) {
 	type input struct {
 		name string
@@ -122,7 +134,7 @@ func TestCheckMatchesCompile(t *testing.T) {
 		t.Run(limName, func(t *testing.T) {
 			t.Parallel()
 			for _, in := range inputs {
-				cerr := compiler.CheckBounded(context.Background(), in.src, nil, in.opts, lim)
+				_, cerr := lowerSource(context.Background(), in.src, in.opts, lim)
 				_, _, ferr := compiler.CompileBounded(context.Background(), in.src, nil, in.opts, lim)
 				switch {
 				case cerr == nil && ferr == nil:
@@ -154,16 +166,95 @@ func TestCheckMatchesCompile(t *testing.T) {
 	})
 }
 
-// TestCheckHonorsContextDeadline pins that CheckBounded folds an expired
+// TestCheckHonorsContextDeadline pins that LowerBounded folds an expired
 // ctx deadline into the limits exactly as CompileBounded does.
 func TestCheckHonorsContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	src := bombSources["irops"]
-	cerr := compiler.CheckBounded(ctx, src, nil, compiler.Options{}, compiler.ServiceLimits())
+	_, cerr := lowerSource(ctx, src, compiler.Options{}, compiler.ServiceLimits())
 	_, _, ferr := compiler.CompileBounded(ctx, src, nil, compiler.Options{}, compiler.ServiceLimits())
 	var de *compiler.DeadlineError
 	if !errors.As(cerr, &de) || ferr == nil || cerr.Error() != ferr.Error() {
 		t.Fatalf("check err %v, compile err %v, want matching DeadlineErrors", cerr, ferr)
 	}
+}
+
+// TestLoweredBuild pins Lowered's contract: Build produces exactly the
+// program and diagnostics of CompileBounded, runs once, and the Lowered
+// holds no parse-tree node before it.
+func TestLoweredBuild(t *testing.T) {
+	srcs := []string{progfuzz.Generate(3), progfuzz.GenerateOpts(1_000_007, progfuzz.GenOptions{MaxArraySize: 256, WideForall: true})}
+	for i, src := range srcs {
+		for _, opts := range []compiler.Options{{}, {Mode: compiler.SingleCluster, AutoUnroll: 16}} {
+			lim := compiler.ServiceLimits()
+			l, err := lowerSource(context.Background(), src, opts, lim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.IROps() <= 0 || l.IROps() > int64(lim.MaxIROps) {
+				t.Errorf("source %d: IROps %d outside (0, %d]", i, l.IROps(), lim.MaxIROps)
+			}
+			if path := nodePath(reflect.ValueOf(l), "Lowered", map[uintptr]bool{}); path != "" {
+				t.Errorf("source %d: Lowered holds a parse-tree node at %s", i, path)
+			}
+			prog, diags, err := l.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantDiags, err := compiler.CompileBounded(context.Background(), src, nil, opts, lim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(prog, want) || !reflect.DeepEqual(diags, wantDiags) {
+				t.Errorf("source %d %+v: Build differs from CompileBounded", i, opts)
+			}
+			if _, _, err := l.Build(); err == nil {
+				t.Errorf("source %d: second Build succeeded", i)
+			}
+		}
+	}
+}
+
+var nodeType = reflect.TypeOf(sexpr.Node{})
+
+// nodePath returns the path of the first sexpr.Node reachable from v,
+// unexported fields included, or "" when there is none.
+func nodePath(v reflect.Value, path string, seen map[uintptr]bool) string {
+	if v.Type() == nodeType {
+		return path
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		return nodePath(v.Elem(), path, seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return ""
+		}
+		return nodePath(v.Elem(), path, seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := nodePath(v.Field(i), path+"."+v.Type().Field(i).Name, seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p := nodePath(v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		it := v.MapRange()
+		for it.Next() {
+			if p := nodePath(it.Value(), fmt.Sprintf("%s[%v]", path, it.Key()), seen); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }

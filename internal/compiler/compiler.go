@@ -132,7 +132,7 @@ func CompileForms(forms []*sexpr.Node, cfg *machine.Config, opts Options) (*isa.
 // declaration processing and lowering to IR, under lim when non-nil (see
 // CompileBounded).
 // Every source-level rejection (CompileError, LimitError, DeadlineError)
-// is raised here.
+// is raised here. The env it returns holds no parse-tree node.
 func lowerForms(forms []*sexpr.Node, cfg *machine.Config, opts Options, lim *Limits) (*env, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -145,6 +145,7 @@ func lowerForms(forms []*sexpr.Node, cfg *machine.Config, opts Options, lim *Lim
 	if err := env.lowerAll(); err != nil {
 		return nil, err
 	}
+	env.dropSource()
 	return env, nil
 }
 

@@ -331,5 +331,16 @@ func (e *env) lowerAll() error {
 	return e.checkThreads()
 }
 
+// dropSource releases what only lowering reads: the procedures and each
+// segment's body and compile-time bindings. Procedure and segment
+// bodies are parse-tree nodes, so a lowered env keeps no node alive.
+func (e *env) dropSource() {
+	e.funcs = nil
+	for i := range e.segs {
+		e.segs[i].body = nil
+		e.segs[i].consts = nil
+	}
+}
+
 // memWords returns the total memory image size required.
 func (e *env) memWords() int64 { return e.nextAddr + 16 }

@@ -85,31 +85,17 @@ func IsResourceLimit(err error) bool {
 // CompileBounded parses and compiles source under lim, honoring ctx
 // cancellation (a ctx deadline tightens lim.Deadline). It is the entry
 // point for untrusted input; Compile remains the trusted-input path with
-// only stack-safety bounds.
+// only stack-safety bounds. It is ParseBounded, LowerBounded and Build.
 func CompileBounded(ctx context.Context, src string, cfg *machine.Config, opts Options, lim Limits) (*isa.Program, *Diagnostics, error) {
 	forms, err := ParseBounded(src, lim)
 	if err != nil {
 		return nil, nil, err
 	}
-	env, err := lowerBounded(ctx, forms, cfg, opts, lim)
+	l, err := LowerBounded(ctx, forms, cfg, opts, lim)
 	if err != nil {
 		return nil, nil, err
 	}
-	return env.build()
-}
-
-// CheckBounded runs the part of CompileBounded that can reject a source —
-// parsing and lowering under lim — and skips optimization, scheduling and
-// emission. It returns the error CompileBounded would return for the same
-// arguments, except for compiler-internal errors of the skipped back half,
-// so a service can validate an untrusted submission at a fraction of the
-// cost of compiling it.
-func CheckBounded(ctx context.Context, src string, cfg *machine.Config, opts Options, lim Limits) error {
-	forms, err := ParseBounded(src, lim)
-	if err != nil {
-		return err
-	}
-	return CheckFormsBounded(ctx, forms, cfg, opts, lim)
+	return l.Build()
 }
 
 // ParseBounded parses src under lim's source bounds (bytes, parse-tree
@@ -122,23 +108,53 @@ func ParseBounded(src string, lim Limits) ([]*sexpr.Node, error) {
 	})
 }
 
-// CheckFormsBounded is CheckBounded for forms already read by
-// ParseBounded under the same lim. It does not modify forms.
-func CheckFormsBounded(ctx context.Context, forms []*sexpr.Node, cfg *machine.Config, opts Options, lim Limits) error {
-	_, err := lowerBounded(ctx, forms, cfg, opts, lim)
-	return err
+// Lowered is a program lowered to IR: the front half of a compile,
+// done. It keeps no reference into the parse tree it was lowered from,
+// so holding one costs its IR only. Build finishes the compile.
+type Lowered struct {
+	env *env
 }
 
-// lowerBounded is the front half shared by CompileBounded and the checks:
-// it defaults the machine, folds the ctx deadline into lim, and lowers.
-func lowerBounded(ctx context.Context, forms []*sexpr.Node, cfg *machine.Config, opts Options, lim Limits) (*env, error) {
+// LowerBounded runs the part of CompileBounded that can reject a source
+// read by ParseBounded under the same lim: it defaults a nil machine to
+// the baseline, folds the ctx deadline into lim, and lowers forms to IR
+// under lim. Every source-level rejection of a bounded compile
+// (CompileError, LimitError, DeadlineError) is raised here, so a service
+// can validate an untrusted submission without optimizing, scheduling
+// or emitting it. It does not modify forms.
+func LowerBounded(ctx context.Context, forms []*sexpr.Node, cfg *machine.Config, opts Options, lim Limits) (*Lowered, error) {
 	if cfg == nil {
 		cfg = machine.Baseline()
 	}
 	if dl, ok := ctx.Deadline(); ok && (lim.Deadline.IsZero() || dl.Before(lim.Deadline)) {
 		lim.Deadline = dl
 	}
-	return lowerForms(forms, cfg, opts, &lim)
+	env, err := lowerForms(forms, cfg, opts, &lim)
+	if err != nil {
+		return nil, err
+	}
+	return &Lowered{env: env}, nil
+}
+
+// IROps returns the number of IR operations lowering produced, the
+// quantity Limits.MaxIROps bounds.
+func (l *Lowered) IROps() int64 { return l.env.irOps }
+
+// errBuilt is Build's answer when called a second time.
+var errBuilt = errors.New("compiler: lowered program already built")
+
+// Build optimizes, schedules and emits the lowered program, producing
+// exactly what CompileBounded would for the same arguments. It fails
+// only with compiler-internal errors. Optimization rewrites the IR in
+// place, so Build runs once: it releases the IR, and a second call
+// returns an error.
+func (l *Lowered) Build() (*isa.Program, *Diagnostics, error) {
+	if l.env == nil {
+		return nil, nil, errBuilt
+	}
+	env := l.env
+	l.env = nil
+	return env.build()
 }
 
 // checkThreads enforces the segment-count and memory-image bounds; it

@@ -3,9 +3,12 @@ package fleet
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pcoup/internal/compiler"
+	"pcoup/internal/progfuzz"
 	"pcoup/internal/service"
 )
 
@@ -111,4 +114,67 @@ func TestProgramThroughGateway(t *testing.T) {
 	if bfinal.State != service.JobBudgetExceeded {
 		t.Fatalf("state %s (%s), want budget_exceeded", bfinal.State, bfinal.Error)
 	}
+}
+
+// TestParkGatewaySpecs: the gateway lowers every program it accepts as
+// its own check, but keeps none of that IR. No spec it retains holds a
+// lowered program after the jobs ran, and neither does any spec its
+// backend retains.
+func TestParkGatewaySpecs(t *testing.T) {
+	b1, backend, _ := startBackend(t, service.Options{Workers: 2})
+	gw, gwts := startGateway(t, []string{b1}, nil)
+	for _, src := range []string{fleetTestProgram, progfuzz.Generate(2)} {
+		status, view := postProgram(t, gwts.URL, service.ProgramRequest{ProgramSpec: service.ProgramSpec{Source: src, Verify: true}})
+		if status != http.StatusAccepted {
+			t.Fatalf("submit status %d", status)
+		}
+		if final := waitJob(t, gwts.URL, view.ID); final.State != service.JobDone {
+			t.Fatalf("state %s (%s)", final.State, final.Error)
+		}
+	}
+	for name, views := range map[string][]service.JobView{"gateway": gw.List(), "backend": backend.List()} {
+		if len(views) != 2 {
+			t.Fatalf("%s retains %d jobs, want 2", name, len(views))
+		}
+		for _, v := range views {
+			if holdsLowered(reflect.ValueOf(v.Spec)) {
+				t.Errorf("%s job %s: retained spec holds a lowered program", name, v.ID)
+			}
+		}
+	}
+}
+
+var loweredType = reflect.TypeOf((*compiler.Lowered)(nil))
+
+// holdsLowered reports whether a non-nil *compiler.Lowered is reachable
+// from v, unexported fields included.
+func holdsLowered(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return false
+		}
+		return v.Type() == loweredType || holdsLowered(v.Elem())
+	case reflect.Interface:
+		return !v.IsNil() && holdsLowered(v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if holdsLowered(v.Field(i)) {
+				return true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if holdsLowered(v.Index(i)) {
+				return true
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if holdsLowered(it.Key()) || holdsLowered(it.Value()) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"pcoup/internal/compiler"
 	"pcoup/internal/machine"
 	"pcoup/internal/progfuzz"
 )
@@ -29,9 +27,9 @@ var fuzzBombSources = []string{
 }
 
 // FuzzJobSpec feeds arbitrary bytes through the decoders of POST
-// /v1/jobs and POST /v1/programs and then Normalize. Normalize must never
-// panic, and a program spec it accepts must compile: the submission
-// check must reject every source the worker's full compile would.
+// /v1/jobs and POST /v1/programs and then normalize. It must never
+// panic, and the program a program spec's check lowers must build: the
+// submission check must reject every source the worker's compile would.
 func FuzzJobSpec(f *testing.F) {
 	add := func(v any) {
 		data, err := json.Marshal(v)
@@ -75,30 +73,30 @@ func decodeStrict(data []byte, v any) bool {
 	return dec.Decode(v) == nil
 }
 
-// fuzzCompileIROps bounds the programs FuzzJobSpec compiles in full.
+// fuzzCompileIROps bounds the programs FuzzJobSpec builds in full.
 // Scheduling is quadratic in basic-block size, so a single block near
 // the service's IR cap takes minutes to compile; an exec must stay short.
 const fuzzCompileIROps = 5000
 
 // checkNormalize normalizes spec and, when it holds an accepted
-// program of at most fuzzCompileIROps IR operations, compiles that
-// program as the worker would.
+// program of at most fuzzCompileIROps IR operations, builds the program
+// its check lowered, as the worker does with a parked one.
 func checkNormalize(t *testing.T, spec JobSpec, presets map[string]*machine.Config) {
-	cfg, err := spec.Normalize(presets)
+	cfg, lowered, err := spec.normalize(presets)
 	if err != nil || spec.Program == nil {
 		return
 	}
-	p := spec.Program
-	if _, err := ProgramContentKey(p, cfg, spec.Options); err != nil {
+	if lowered == nil {
+		t.Fatalf("accepted program was not lowered\nspec: %+v", spec)
+	}
+	if _, err := ProgramContentKey(spec.Program, cfg, spec.Options); err != nil {
 		t.Fatalf("accepted program has no content key: %v", err)
 	}
-	small := compiler.ServiceLimits()
-	small.MaxIROps = fuzzCompileIROps
-	if compiler.CheckBounded(context.Background(), p.Source, cfg, p.compilerOptions(), small) != nil {
+	if lowered.IROps() > fuzzCompileIROps {
 		return
 	}
-	if _, _, err := compiler.CompileBounded(context.Background(), p.Source, cfg, p.compilerOptions(), compiler.ServiceLimits()); err != nil {
-		t.Fatalf("Normalize accepted a program the worker cannot compile: %v\nspec: %+v", err, spec)
+	if _, _, err := lowered.Build(); err != nil {
+		t.Fatalf("normalize accepted a program the worker cannot build: %v\nspec: %+v", err, spec)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pcoup/internal/bench"
+	"pcoup/internal/compiler"
 	"pcoup/internal/experiments"
 	"pcoup/internal/machine"
 	"pcoup/internal/obs"
@@ -100,11 +101,14 @@ type JobSpec struct {
 // fleet gateway, which validates with the presets it knows). It returns
 // the resolved machine config (nil meaning "driver default").
 func (spec *JobSpec) Normalize(presets map[string]*machine.Config) (*machine.Config, error) {
-	return spec.normalize(presets)
+	cfg, _, err := spec.normalize(presets)
+	return cfg, err
 }
 
-// normalize is Normalize's implementation.
-func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Config, error) {
+// normalize is Normalize's implementation. For a program spec it also
+// returns the program lowered by the submission check, which the
+// caller may keep for the worker or drop.
+func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Config, *compiler.Lowered, error) {
 	selected := 0
 	if spec.Experiment != "" {
 		selected++
@@ -119,29 +123,29 @@ func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Con
 		selected++
 	}
 	if selected != 1 {
-		return nil, fmt.Errorf("spec must set exactly one of experiment, cell, sweep, program (got %d)", selected)
+		return nil, nil, fmt.Errorf("spec must set exactly one of experiment, cell, sweep, program (got %d)", selected)
 	}
 	if spec.Machine != nil && spec.Preset != "" {
-		return nil, fmt.Errorf("spec sets both machine and preset")
+		return nil, nil, fmt.Errorf("spec sets both machine and preset")
 	}
 	if spec.TimeoutMS < 0 {
-		return nil, fmt.Errorf("timeout_ms: must be >= 0")
+		return nil, nil, fmt.Errorf("timeout_ms: must be >= 0")
 	}
 	if spec.Options.MaxCycles < 0 {
-		return nil, fmt.Errorf("options.max_cycles: must be >= 0")
+		return nil, nil, fmt.Errorf("options.max_cycles: must be >= 0")
 	}
 
 	var cfg *machine.Config
 	switch {
 	case spec.Machine != nil:
 		if err := spec.Machine.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cfg = spec.Machine
 	case spec.Preset != "":
 		p, ok := presets[spec.Preset]
 		if !ok {
-			return nil, fmt.Errorf("unknown preset %q (valid: %s)", spec.Preset, presetNames(presets))
+			return nil, nil, fmt.Errorf("unknown preset %q (valid: %s)", spec.Preset, presetNames(presets))
 		}
 		cfg = p
 	}
@@ -149,46 +153,48 @@ func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Con
 	switch {
 	case spec.Experiment != "":
 		if _, ok := experiments.Lookup(spec.Experiment); !ok {
-			return nil, experiments.UnknownExperimentError(spec.Experiment)
+			return nil, nil, experiments.UnknownExperimentError(spec.Experiment)
 		}
 		if spec.Options.Trace {
-			return nil, fmt.Errorf("options.trace applies to cell jobs only")
+			return nil, nil, fmt.Errorf("options.trace applies to cell jobs only")
 		}
 	case spec.Cell != nil:
 		mode, err := experiments.ParseMode(spec.Cell.Mode)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		spec.Cell.Mode = string(mode)
 		if err := bench.CheckName(spec.Cell.Bench); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !experiments.ModeSupported(spec.Cell.Bench, mode) {
-			return nil, fmt.Errorf("benchmark %q has no %s variant", spec.Cell.Bench, mode)
+			return nil, nil, fmt.Errorf("benchmark %q has no %s variant", spec.Cell.Bench, mode)
 		}
 	case spec.Sweep != nil:
 		if err := spec.Sweep.Normalize(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if cfg != nil {
-			return nil, fmt.Errorf("sweep jobs build their own machines (machine/preset must be unset)")
+			return nil, nil, fmt.Errorf("sweep jobs build their own machines (machine/preset must be unset)")
 		}
 		if spec.Options.Trace {
-			return nil, fmt.Errorf("options.trace applies to cell jobs only")
+			return nil, nil, fmt.Errorf("options.trace applies to cell jobs only")
 		}
 	case spec.Program != nil:
 		if spec.Options.Trace {
-			return nil, fmt.Errorf("options.trace applies to cell jobs only")
+			return nil, nil, fmt.Errorf("options.trace applies to cell jobs only")
 		}
 		// Validate by parsing and lowering under the service limits
 		// against the resolved machine: a recursion bomb, an over-cap
 		// source, or a thread explosion is rejected here with a typed
 		// ProgramError (HTTP 422) instead of ever reaching a worker.
-		if err := spec.Program.normalize(cfg); err != nil {
-			return nil, err
+		lowered, err := spec.Program.normalize(cfg)
+		if err != nil {
+			return nil, nil, err
 		}
+		return cfg, lowered, nil
 	}
-	return cfg, nil
+	return cfg, nil, nil
 }
 
 // Normalize fills sweep defaults and bounds the geometry. The fleet
@@ -288,6 +294,11 @@ type Job struct {
 	started  time.Time
 	ended    time.Time
 
+	// lowered is a program job's IR, parked by the submission check for
+	// the worker; runJob takes it before the job runs, and finish drops
+	// it, so a job that runs or ends holds none.
+	lowered *compiler.Lowered
+
 	cancelled bool // DELETE received
 	cancel    context.CancelFunc
 	// updated is closed and replaced whenever cells/state change, waking
@@ -357,6 +368,7 @@ func (j *Job) finish(state JobState, result json.RawMessage, errMsg string, now 
 	j.result = result
 	j.errMsg = errMsg
 	j.ended = now
+	j.lowered = nil
 	j.notifyLocked()
 	close(j.done)
 	return true

@@ -25,7 +25,8 @@ import (
 // and simulated under the strict resource limits of
 // compiler.ServiceLimits plus a cycle budget, and every submission is
 // validated by a bounded check (parse and lowering under every cap)
-// before it is accepted.
+// before it is accepted. A spec carries the source only: the lowered
+// program never rides on it (specs stay in the job tables for good).
 type ProgramSpec struct {
 	// Source is the program text (s-expression surface syntax).
 	Source string `json:"source"`
@@ -70,38 +71,41 @@ const programCompileTimeout = 5 * time.Second
 const DefaultProgramCycles = 10_000_000
 
 // normalize validates the program spec: the mode must parse, and the
-// source must pass compiler.CheckBounded under the service limits
-// against the resolved machine (nil = baseline) — every rejection a full
-// compile can raise from the source. It records the canonical source
-// digest from the checked forms. Every rejection is wrapped in
-// ProgramError so the transport layers can distinguish "your program is
-// bad" (422) from "the service is unhealthy" (5xx).
-func (p *ProgramSpec) normalize(cfg *machine.Config) error {
+// source must parse and lower (compiler.ParseBounded and LowerBounded)
+// under the service limits against the resolved machine (nil =
+// baseline) — every rejection a full compile can raise from the source.
+// It records the canonical source digest from the parsed forms and
+// returns the lowered program, which holds no reference to the forms.
+// Every rejection is wrapped in ProgramError so the transport layers
+// can distinguish "your program is bad" (422) from "the service is
+// unhealthy" (5xx).
+func (p *ProgramSpec) normalize(cfg *machine.Config) (*compiler.Lowered, error) {
 	if strings.TrimSpace(p.Source) == "" {
-		return &ProgramError{Err: fmt.Errorf("source is empty")}
+		return nil, &ProgramError{Err: fmt.Errorf("source is empty")}
 	}
 	if p.Mode == "" {
 		p.Mode = string(experiments.COUPLED)
 	}
 	mode, err := experiments.ParseMode(p.Mode)
 	if err != nil {
-		return &ProgramError{Err: err}
+		return nil, &ProgramError{Err: err}
 	}
 	p.Mode = string(mode)
 	if p.AutoUnroll < 0 {
-		return &ProgramError{Err: fmt.Errorf("auto_unroll: must be >= 0")}
+		return nil, &ProgramError{Err: fmt.Errorf("auto_unroll: must be >= 0")}
 	}
 	lim := compiler.ServiceLimits()
 	lim.Deadline = time.Now().Add(programCompileTimeout)
 	forms, err := compiler.ParseBounded(p.Source, lim)
 	if err != nil {
-		return &ProgramError{Err: err}
+		return nil, &ProgramError{Err: err}
 	}
-	if err := compiler.CheckFormsBounded(context.Background(), forms, cfg, p.compilerOptions(), lim); err != nil {
-		return &ProgramError{Err: err}
+	lowered, err := compiler.LowerBounded(context.Background(), forms, cfg, p.compilerOptions(), lim)
+	if err != nil {
+		return nil, &ProgramError{Err: err}
 	}
 	p.sourceSHA = canonicalSourceSHA(forms)
-	return nil
+	return lowered, nil
 }
 
 // compilerOptions maps the spec's knobs to compiler options. Call after
@@ -172,7 +176,9 @@ type ProgramResult struct {
 
 // runProgramJob compiles and simulates one untrusted program under the
 // service limits and the cycle budget, consulting the cache first.
-func (s *Server) runProgramJob(ctx context.Context, job *Job) (json.RawMessage, error) {
+// lowered, when non-nil, is the job's program as the submission check
+// lowered it; the worker then only builds it.
+func (s *Server) runProgramJob(ctx context.Context, job *Job, lowered *compiler.Lowered) (json.RawMessage, error) {
 	p := job.spec.Program
 	key, err := ProgramContentKey(p, job.cfg, job.spec.Options)
 	if err != nil {
@@ -187,10 +193,16 @@ func (s *Server) runProgramJob(ctx context.Context, job *Job) (json.RawMessage, 
 	if cfg == nil {
 		cfg = machine.Baseline()
 	}
-	// The one full compile of the job: normalize only checked the source
-	// (parse and lowering under the caps), and nothing compiled crosses
-	// the queue or the journal. Cached hits skip this entirely.
-	prog, _, err := compiler.CompileBounded(ctx, p.Source, cfg, p.compilerOptions(), compiler.ServiceLimits())
+	// A program small enough to be parked was lowered at submission and
+	// only needs its back half; any other is compiled from source here,
+	// under the job's own deadline. Nothing compiled crosses the journal,
+	// and cached hits skip this entirely.
+	var prog *isa.Program
+	if lowered != nil {
+		prog, _, err = lowered.Build()
+	} else {
+		prog, _, err = compiler.CompileBounded(ctx, p.Source, cfg, p.compilerOptions(), compiler.ServiceLimits())
+	}
 	if err != nil {
 		if compiler.IsResourceLimit(err) {
 			return nil, &ProgramError{Err: err}

@@ -245,7 +245,7 @@ func TestProgramSpecValidation(t *testing.T) {
 func TestProgramKeyStability(t *testing.T) {
 	key := func(p *ProgramSpec) string {
 		t.Helper()
-		if err := p.normalize(nil); err != nil {
+		if _, err := p.normalize(nil); err != nil {
 			t.Fatal(err)
 		}
 		k, err := ProgramContentKey(p, nil, SimOptions{})
