@@ -2,6 +2,8 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"pcoup/internal/isa"
 )
@@ -9,7 +11,8 @@ import (
 // emit schedules every lowered function and assembles the final program:
 // wide instruction words per segment, resolved branch and fork targets,
 // physical register assignment per cluster, and the initial data image.
-func (e *env) emit() (*isa.Program, *Diagnostics, error) {
+// A non-zero deadline stops it with a DeadlineError once passed.
+func (e *env) emit(deadline time.Time) (*isa.Program, *Diagnostics, error) {
 	prog := &isa.Program{Name: e.progName, MemWords: e.memWords()}
 	diags := &Diagnostics{}
 
@@ -18,8 +21,16 @@ func (e *env) emit() (*isa.Program, *Diagnostics, error) {
 		segIdx[e.segs[i].name] = i
 	}
 
+	var sc *scheduler
+	ra := &regAlloc{}
 	for i, fn := range e.fns {
-		seg, d, err := e.emitSegment(fn, &e.segs[i], segIdx)
+		if sc == nil {
+			sc = newScheduler(e, fn, &e.segs[i])
+			sc.deadline = deadline
+		} else {
+			sc.start(fn, &e.segs[i])
+		}
+		seg, d, err := e.emitSegment(sc, ra, segIdx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -43,60 +54,100 @@ func (e *env) emit() (*isa.Program, *Diagnostics, error) {
 	return prog, diags, nil
 }
 
-// regAlloc assigns physical register indices per (vreg, cluster) pair.
+// regAlloc assigns physical register indices per (vreg, cluster) pair,
+// in order of first reference.
 type regAlloc struct {
-	index map[VReg]map[int]int
-	next  []int
+	nclusters int
+	index     []int32 // index[v*nclusters+c] is the register index+1, 0 for none
+	next      []int
 }
 
-func newRegAlloc(numClusters int) *regAlloc {
-	return &regAlloc{index: map[VReg]map[int]int{}, next: make([]int, numClusters)}
+// start resets the allocator for a function on a machine with
+// nclusters clusters.
+func (ra *regAlloc) start(fn *Fn, nclusters int) {
+	ra.nclusters = nclusters
+	n := int(fn.nextVReg) * nclusters
+	if cap(ra.index) < n {
+		ra.index = make([]int32, n)
+	} else {
+		ra.index = ra.index[:n]
+		clear(ra.index)
+	}
+	ra.next = make([]int, nclusters)
 }
 
 func (ra *regAlloc) reg(v VReg, cluster int) isa.RegRef {
-	m := ra.index[v]
-	if m == nil {
-		m = map[int]int{}
-		ra.index[v] = m
-	}
-	idx, ok := m[cluster]
-	if !ok {
-		idx = ra.next[cluster]
+	p := &ra.index[int(v)*ra.nclusters+cluster]
+	if *p == 0 {
+		*p = int32(ra.next[cluster] + 1)
 		ra.next[cluster]++
-		m[cluster] = idx
 	}
-	return isa.RegRef{Cluster: cluster, Index: idx}
+	return isa.RegRef{Cluster: cluster, Index: int(*p - 1)}
 }
 
-func (e *env) emitSegment(fn *Fn, w *segWork, segIdx map[string]int) (*isa.ThreadCode, SegDiag, error) {
-	sc := newScheduler(e, fn, w)
-	ra := newRegAlloc(len(e.cfg.Clusters))
+// opSlabs back the operations of one segment and their operand and
+// destination lists.
+type opSlabs struct {
+	ops   []isa.Op
+	srcs  []isa.Operand
+	dests []isa.RegRef
+}
+
+func (e *env) emitSegment(sc *scheduler, ra *regAlloc, segIdx map[string]int) (*isa.ThreadCode, SegDiag, error) {
+	fn := sc.fn
 	numUnits := e.cfg.NumUnits()
 
 	// Pass 1: schedule all blocks and record start word indexes.
-	scheds := make([]*blockSched, len(fn.Blocks))
 	blockStart := make([]int, len(fn.Blocks)+1)
 	words := 0
 	for i, b := range fn.Blocks {
+		if sc.expired() {
+			return nil, SegDiag{}, &DeadlineError{Deadline: sc.deadline}
+		}
 		blockStart[i] = words
-		scheds[i] = sc.scheduleBlock(b)
-		words += len(scheds[i].words)
+		n, err := sc.scheduleBlock(b)
+		if err != nil {
+			return nil, SegDiag{}, err
+		}
+		words += n
 	}
 	blockStart[len(fn.Blocks)] = words
 
 	loop := fn.loopBlocks()
 	diag := SegDiag{Name: fn.Name, Moves: sc.moves}
+	ra.start(fn, len(e.cfg.Clusters))
+
+	var slabs opSlabs
+	nsrcs, ndests := 0, 0
+	for _, po := range sc.segOps {
+		nsrcs += len(po.ir.Srcs)
+		if po.ir.Dst != 0 {
+			ndests += len(po.destClusters)
+		}
+	}
+	slabs.ops = make([]isa.Op, len(sc.segOps))
+	slabs.srcs = make([]isa.Operand, nsrcs)
+	slabs.dests = make([]isa.RegRef, ndests)
+	wordOps := make([]*isa.Op, words*numUnits)
 
 	seg := &isa.ThreadCode{Name: fn.Name}
-	for bi, bs := range scheds {
-		diag.BlockWords = append(diag.BlockWords, len(bs.words))
+	if words > 0 {
+		seg.Instrs = make([]isa.Instruction, 0, words)
+	}
+	for bi := range fn.Blocks {
+		n := blockStart[bi+1] - blockStart[bi]
+		diag.BlockWords = append(diag.BlockWords, n)
 		if loop[bi] {
-			diag.LoopWords += len(bs.words)
+			diag.LoopWords += n
 		}
-		for _, word := range bs.words {
-			instr := isa.Instruction{Ops: make([]*isa.Op, numUnits)}
-			for _, po := range word {
-				op, err := e.buildOp(po, sc, ra, blockStart, segIdx)
+		for w := blockStart[bi]; w < blockStart[bi+1]; w++ {
+			instr := isa.Instruction{Ops: wordOps[w*numUnits : (w+1)*numUnits : (w+1)*numUnits]}
+			first := 0
+			if w > 0 {
+				first = sc.wordEnd[w-1]
+			}
+			for _, po := range sc.segOps[first:sc.wordEnd[w]] {
+				op, err := e.buildOp(&slabs, po, sc, ra, blockStart, segIdx)
 				if err != nil {
 					return nil, SegDiag{}, err
 				}
@@ -116,17 +167,24 @@ func (e *env) emitSegment(fn *Fn, w *segWork, segIdx map[string]int) (*isa.Threa
 	return seg, diag, nil
 }
 
-// buildOp converts one placed IR instruction into an ISA operation.
-func (e *env) buildOp(po *placedOp, sc *scheduler, ra *regAlloc, blockStart []int, segIdx map[string]int) (*isa.Op, error) {
+// buildOp converts one placed IR instruction into an ISA operation,
+// taken with its operand lists from the segment's slabs.
+func (e *env) buildOp(slabs *opSlabs, po *placedOp, sc *scheduler, ra *regAlloc, blockStart []int, segIdx map[string]int) (*isa.Op, error) {
 	in := po.ir
 	cu := sc.cluster(po.unit)
-	op := &isa.Op{Code: in.Op, Sync: in.Sync, Unit: po.unit, Offset: in.Offset}
+	op := &slabs.ops[0]
+	slabs.ops = slabs.ops[1:]
+	*op = isa.Op{Code: in.Op, Sync: in.Sync, Unit: po.unit, Offset: in.Offset}
 
-	for _, s := range in.Srcs {
-		if s.IsConst {
-			op.Srcs = append(op.Srcs, isa.Imm(s.Const))
-		} else {
-			op.Srcs = append(op.Srcs, isa.Reg(ra.reg(s.VReg, cu)))
+	if n := len(in.Srcs); n > 0 {
+		op.Srcs = slabs.srcs[:n:n]
+		slabs.srcs = slabs.srcs[n:]
+		for i, s := range in.Srcs {
+			if s.IsConst {
+				op.Srcs[i] = isa.Imm(s.Const)
+			} else {
+				op.Srcs[i] = isa.Reg(ra.reg(s.VReg, cu))
+			}
 		}
 	}
 	if in.Dst != 0 {
@@ -136,12 +194,13 @@ func (e *env) buildOp(po *placedOp, sc *scheduler, ra *regAlloc, blockStart []in
 		if len(po.destClusters) > e.cfg.MaxDests {
 			return nil, fmt.Errorf("compiler: internal: op %s exceeds %d destinations", in, e.cfg.MaxDests)
 		}
-		seen := map[int]bool{}
-		for _, c := range po.destClusters {
-			if seen[c] {
+		n := len(po.destClusters)
+		op.Dests = slabs.dests[:0:n]
+		slabs.dests = slabs.dests[n:]
+		for i, c := range po.destClusters {
+			if slices.Contains(po.destClusters[:i], c) {
 				continue
 			}
-			seen[c] = true
 			op.Dests = append(op.Dests, ra.reg(in.Dst, c))
 		}
 	}

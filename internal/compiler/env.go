@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"pcoup/internal/isa"
 	"pcoup/internal/machine"
@@ -68,6 +69,9 @@ type env struct {
 	lim       *Limits
 	irOps     int64
 	stmtCount int64
+
+	// units holds the scheduler's unit tables, built once per build.
+	units *unitTables
 }
 
 // dataBase is the first address assigned to globals (address 0 is
@@ -328,7 +332,16 @@ func (e *env) lowerAll() error {
 		}
 		e.fns = append(e.fns, fn)
 	}
-	return e.checkThreads()
+	if err := e.checkThreads(); err != nil {
+		return err
+	}
+	// A deadline that has passed by the end of lowering rejects the
+	// program here, whatever its statement count, so the back half
+	// raises a DeadlineError only for a deadline passing during it.
+	if e.lim != nil && !e.lim.Deadline.IsZero() && time.Now().After(e.lim.Deadline) {
+		return &DeadlineError{Deadline: e.lim.Deadline}
+	}
+	return nil
 }
 
 // dropSource releases what only lowering reads: the procedures and each

@@ -127,20 +127,21 @@ func (b *Block) terminator() *Instr {
 type Fn struct {
 	Name   string
 	Blocks []*Block // layout order; fallthrough goes to the next entry
-	// nextVReg allocates virtual registers.
+	// nextVReg allocates virtual registers: they are dense, 1 to
+	// nextVReg-1, so per-vreg tables are slices indexed by VReg.
 	nextVReg VReg
 	// vregType records the type of each allocated vreg.
-	vregType map[VReg]Type
+	vregType []Type
 }
 
 func newFn(name string) *Fn {
-	return &Fn{Name: name, nextVReg: 1, vregType: make(map[VReg]Type)}
+	return &Fn{Name: name, nextVReg: 1, vregType: make([]Type, 1)}
 }
 
 func (f *Fn) newVReg(t Type) VReg {
 	v := f.nextVReg
 	f.nextVReg++
-	f.vregType[v] = t
+	f.vregType = append(f.vregType, t)
 	return v
 }
 
@@ -152,23 +153,24 @@ func (f *Fn) newBlock() *Block {
 	return b
 }
 
-// succs returns the blocks control may reach from block index i.
-func (f *Fn) succs(i int) []*Block {
+// succIDs returns the IDs of the blocks control may reach from block
+// index i, -1 for none: a branch target first, then the fallthrough.
+func (f *Fn) succIDs(i int) (int, int) {
 	b := f.Blocks[i]
-	var out []*Block
-	term := b.terminator()
-	if term != nil {
-		out = append(out, term.Target)
-		if term.Op == isa.OpJmp {
-			return out
-		}
-	} else if len(b.Instrs) > 0 && b.Instrs[len(b.Instrs)-1].Op == isa.OpHalt {
-		return nil
-	}
+	next := -1
 	if i+1 < len(f.Blocks) {
-		out = append(out, f.Blocks[i+1])
+		next = f.Blocks[i+1].ID
 	}
-	return out
+	if term := b.terminator(); term != nil {
+		if term.Op == isa.OpJmp {
+			return term.Target.ID, -1
+		}
+		return term.Target.ID, next
+	}
+	if len(b.Instrs) > 0 && b.Instrs[len(b.Instrs)-1].Op == isa.OpHalt {
+		return -1, -1
+	}
+	return next, -1
 }
 
 // String renders the function's IR (debugging aid).
@@ -184,110 +186,155 @@ func (f *Fn) String() string {
 	return b.String()
 }
 
-// liveness computes, for each block index, the set of vregs live on entry.
-// Standard backward dataflow over the CFG.
-func (f *Fn) liveness() []map[VReg]bool {
-	n := len(f.Blocks)
-	use := make([]map[VReg]bool, n)
-	def := make([]map[VReg]bool, n)
+// bitset is a fixed-size set of small non-negative integers.
+type bitset []uint64
+
+func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
+func (s bitset) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func (s bitset) add(i int)      { s[i>>6] |= 1 << (i & 63) }
+
+// crossBlockVRegs returns, indexed by VReg, the vregs that are live
+// across a block boundary (live-in to some block). These must reside in
+// a stable home cluster between blocks. Liveness is the standard
+// backward dataflow over the CFG, on bitsets.
+func (f *Fn) crossBlockVRegs() []bool {
+	n, nv := len(f.Blocks), int(f.nextVReg)
+	words := (nv + 63) / 64
+	// One backing array: use, def and live-in sets per block, plus a
+	// live-out scratch.
+	buf := make(bitset, (3*n+1)*words)
+	set := func(k int) bitset { return buf[k*words : (k+1)*words] }
+	use := func(i int) bitset { return set(3 * i) }
+	def := func(i int) bitset { return set(3*i + 1) }
+	liveIn := func(i int) bitset { return set(3*i + 2) }
+	out := set(3 * n)
 	for i, b := range f.Blocks {
-		use[i] = map[VReg]bool{}
-		def[i] = map[VReg]bool{}
+		u, d := use(i), def(i)
 		for _, in := range b.Instrs {
 			for _, s := range in.Srcs {
-				if !s.IsConst && !def[i][s.VReg] {
-					use[i][s.VReg] = true
+				if !s.IsConst && !d.has(int(s.VReg)) {
+					u.add(int(s.VReg))
 				}
 			}
 			if in.Dst != 0 {
-				def[i][in.Dst] = true
+				d.add(int(in.Dst))
 			}
 		}
 	}
-	liveIn := make([]map[VReg]bool, n)
-	liveOut := make([]map[VReg]bool, n)
-	for i := range liveIn {
-		liveIn[i] = map[VReg]bool{}
-		liveOut[i] = map[VReg]bool{}
-	}
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
-			out := map[VReg]bool{}
-			for _, s := range f.succs(i) {
-				for v := range liveIn[s.ID] {
-					out[v] = true
-				}
-			}
-			in := map[VReg]bool{}
-			for v := range use[i] {
-				in[v] = true
-			}
-			for v := range out {
-				if !def[i][v] {
-					in[v] = true
-				}
-			}
-			if len(in) != len(liveIn[i]) || len(out) != len(liveOut[i]) {
-				changed = true
-			} else {
-				for v := range in {
-					if !liveIn[i][v] {
-						changed = true
-						break
+			clear(out)
+			s0, s1 := f.succIDs(i)
+			for _, s := range [2]int{s0, s1} {
+				if s >= 0 {
+					for w, x := range liveIn(s) {
+						out[w] |= x
 					}
 				}
 			}
-			liveIn[i] = in
-			liveOut[i] = out
-		}
-	}
-	return liveIn
-}
-
-// crossBlockVRegs returns the set of vregs that are live across a block
-// boundary (live-in to some block). These must reside in a stable home
-// cluster between blocks.
-func (f *Fn) crossBlockVRegs() map[VReg]bool {
-	out := map[VReg]bool{}
-	for _, in := range f.liveness() {
-		for v := range in {
-			out[v] = true
-		}
-	}
-	return out
-}
-
-// loopBlocks returns the set of block IDs that lie on a CFG cycle
-// (used to report the compile-time schedule length of loop bodies,
-// Table 3).
-func (f *Fn) loopBlocks() map[int]bool {
-	n := len(f.Blocks)
-	reach := make([][]bool, n)
-	for i := range reach {
-		reach[i] = make([]bool, n)
-		for _, s := range f.succs(i) {
-			reach[i][s.ID] = true
-		}
-	}
-	// Floyd-Warshall style closure (n is small).
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if !reach[i][k] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if reach[k][j] {
-					reach[i][j] = true
+			u, d, in := use(i), def(i), liveIn(i)
+			for w := range in {
+				x := u[w] | (out[w] &^ d[w])
+				if x != in[w] {
+					in[w] = x
+					changed = true
 				}
 			}
 		}
 	}
-	out := map[int]bool{}
+	cross := make([]bool, nv)
 	for i := 0; i < n; i++ {
-		if reach[i][i] {
-			out[i] = true
+		in := liveIn(i)
+		for v := range cross {
+			if in.has(v) {
+				cross[v] = true
+			}
+		}
+	}
+	return cross
+}
+
+// loopBlocks returns, indexed by block ID, the blocks that lie on a CFG
+// cycle (used to report the compile-time schedule length of loop
+// bodies, Table 3): the blocks of a strongly connected component with
+// more than one block, or with an edge to itself. Tarjan's algorithm,
+// iterative.
+func (f *Fn) loopBlocks() []bool {
+	n := len(f.Blocks)
+	out := make([]bool, n)
+	const unvisited = -1
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	for i := range index {
+		index[i] = unvisited
+	}
+	var stack []int
+	type frame struct{ v, next int } // next: successors already walked
+	var call []frame
+	counter := 0
+	succ := func(v, k int) int {
+		s0, s1 := f.succIDs(v)
+		if k == 0 {
+			return s0
+		}
+		if k == 1 {
+			return s1
+		}
+		return -1
+	}
+	for root := 0; root < n; root++ {
+		if index[root] != unvisited {
+			continue
+		}
+		call = append(call[:0], frame{v: root})
+		index[root], low[root] = counter, counter
+		counter++
+		stack = append(stack, root)
+		onStack[root] = true
+		for len(call) > 0 {
+			fr := &call[len(call)-1]
+			v := fr.v
+			if fr.next < 2 {
+				w := succ(v, fr.next)
+				fr.next++
+				switch {
+				case w < 0:
+				case w == v:
+					out[v] = true
+				case index[w] == unvisited:
+					index[w], low[w] = counter, counter
+					counter++
+					stack = append(stack, w)
+					onStack[w] = true
+					call = append(call, frame{v: w})
+				case onStack[w]:
+					low[v] = min(low[v], index[w])
+				}
+				continue
+			}
+			call = call[:len(call)-1]
+			if len(call) > 0 {
+				p := call[len(call)-1].v
+				low[p] = min(low[p], low[v])
+			}
+			if low[v] != index[v] {
+				continue
+			}
+			// v roots a component: pop it.
+			top := len(stack) - 1
+			for stack[top] != v {
+				top--
+			}
+			comp := stack[top:]
+			for _, w := range comp {
+				onStack[w] = false
+				if len(comp) > 1 {
+					out[w] = true
+				}
+			}
+			stack = stack[:top]
 		}
 	}
 	return out

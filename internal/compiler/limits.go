@@ -32,8 +32,10 @@ type Limits struct {
 	// MaxMemWords bounds the program's memory image (globals + hidden
 	// synchronization cells).
 	MaxMemWords int64
-	// Deadline, when non-zero, aborts compilation once passed. Checked at
-	// segment boundaries, so enforcement granularity is one segment.
+	// Deadline, when non-zero, aborts compilation once passed. Lowering
+	// checks it every 64 statements; the back half between functions,
+	// between scheduled blocks, and every few thousand operations
+	// within a block.
 	Deadline time.Time
 }
 
@@ -85,7 +87,8 @@ func IsResourceLimit(err error) bool {
 // CompileBounded parses and compiles source under lim, honoring ctx
 // cancellation (a ctx deadline tightens lim.Deadline). It is the entry
 // point for untrusted input; Compile remains the trusted-input path with
-// only stack-safety bounds. It is ParseBounded, LowerBounded and Build.
+// only stack-safety bounds. It is ParseBounded, LowerBounded and Build,
+// with the deadline enforced in Build's back half too.
 func CompileBounded(ctx context.Context, src string, cfg *machine.Config, opts Options, lim Limits) (*isa.Program, *Diagnostics, error) {
 	forms, err := ParseBounded(src, lim)
 	if err != nil {
@@ -95,7 +98,7 @@ func CompileBounded(ctx context.Context, src string, cfg *machine.Config, opts O
 	if err != nil {
 		return nil, nil, err
 	}
-	return l.Build()
+	return l.build(l.env.lim.Deadline)
 }
 
 // ParseBounded parses src under lim's source bounds (bytes, parse-tree
@@ -121,7 +124,8 @@ type Lowered struct {
 // under lim. Every source-level rejection of a bounded compile
 // (CompileError, LimitError, DeadlineError) is raised here, so a service
 // can validate an untrusted submission without optimizing, scheduling
-// or emitting it. It does not modify forms.
+// or emitting it; only a deadline that passes after lowering ends can
+// stop CompileBounded's back half. It does not modify forms.
 func LowerBounded(ctx context.Context, forms []*sexpr.Node, cfg *machine.Config, opts Options, lim Limits) (*Lowered, error) {
 	if cfg == nil {
 		cfg = machine.Baseline()
@@ -144,17 +148,22 @@ func (l *Lowered) IROps() int64 { return l.env.irOps }
 var errBuilt = errors.New("compiler: lowered program already built")
 
 // Build optimizes, schedules and emits the lowered program, producing
-// exactly what CompileBounded would for the same arguments. It fails
+// exactly what CompileBounded would for the same arguments. It runs
+// without a deadline (a program parked on a queued job may be built
+// long after the deadline of the check that lowered it), so it fails
 // only with compiler-internal errors. Optimization rewrites the IR in
 // place, so Build runs once: it releases the IR, and a second call
 // returns an error.
-func (l *Lowered) Build() (*isa.Program, *Diagnostics, error) {
+func (l *Lowered) Build() (*isa.Program, *Diagnostics, error) { return l.build(time.Time{}) }
+
+// build is Build under a deadline (none when zero).
+func (l *Lowered) build(deadline time.Time) (*isa.Program, *Diagnostics, error) {
 	if l.env == nil {
 		return nil, nil, errBuilt
 	}
 	env := l.env
 	l.env = nil
-	return env.build()
+	return env.build(deadline)
 }
 
 // checkThreads enforces the segment-count and memory-image bounds; it
