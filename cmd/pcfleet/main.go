@@ -18,22 +18,18 @@
 //	        -tenants configs/tenants/example.json
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: new submissions are
-// refused and in-flight jobs drain (bounded by -drain-timeout).
+// refused, in-flight jobs drain (bounded by -drain-timeout), and open
+// HTTP requests get -drain-timeout more before they are cut.
 package main
 
 import (
-	"context"
 	"flag"
 	"log"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"pcoup/internal/fleet"
+	"pcoup/internal/service"
 	"pcoup/internal/tenant"
 )
 
@@ -85,31 +81,10 @@ func main() {
 		log.Fatalf("pcfleet: %v", err)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	log.Printf("pcfleet: fronting %d backends", len(urls))
+	if err := service.ListenAndServe("pcfleet", *addr, gw.Handler(), gw.Shutdown, *drainTimeout); err != nil {
 		log.Fatalf("pcfleet: %v", err)
 	}
-	httpSrv := &http.Server{Handler: gw.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-	log.Printf("pcfleet: listening on http://%s, fronting %d backends", ln.Addr(), len(urls))
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		log.Printf("pcfleet: %s: draining (up to %s)", s, *drainTimeout)
-	case err := <-errCh:
-		log.Fatalf("pcfleet: serve: %v", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := gw.Shutdown(ctx); err != nil {
-		log.Printf("pcfleet: drain incomplete: %v (in-flight jobs cancelled)", err)
-	}
-	httpSrv.Shutdown(context.Background())
-	log.Printf("pcfleet: stopped")
 }
 
 // splitList parses a comma-separated flag value, trimming blanks.

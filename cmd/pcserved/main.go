@@ -10,21 +10,16 @@
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: new submissions are
 // refused, queued and running jobs drain (bounded by -drain-timeout),
-// and the cache is persisted.
+// the cache is persisted, and open HTTP requests get -drain-timeout
+// more before they are cut.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"pcoup/internal/machine"
@@ -71,35 +66,13 @@ func main() {
 		log.Fatalf("pcserved: %v", err)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatalf("pcserved: %v", err)
-	}
 	handler := srv.Handler()
 	if *accessLog {
 		handler = service.AccessLog(handler, log.Printf)
 	}
-	httpSrv := &http.Server{Handler: handler}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-	log.Printf("pcserved: listening on http://%s", ln.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		log.Printf("pcserved: %s: draining (up to %s)", s, *drainTimeout)
-	case err := <-errCh:
-		log.Fatalf("pcserved: serve: %v", err)
+	if err := service.ListenAndServe("pcserved", *addr, handler, srv.Shutdown, *drainTimeout); err != nil {
+		log.Fatalf("pcserved: %v", err)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("pcserved: drain incomplete: %v (in-flight jobs cancelled)", err)
-	}
-	httpSrv.Shutdown(context.Background())
-	log.Printf("pcserved: stopped")
 }
 
 // loadPresets reads every *.json machine config in dir, keyed by file

@@ -372,9 +372,9 @@ func (g *Gateway) attempt(ctx context.Context, b *Backend, t *task) (json.RawMes
 	defer drainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusOK:
-	case http.StatusBadRequest, http.StatusUnprocessableEntity:
-		// 422: the backend rejected the program content itself — every
-		// backend would, so failover is pointless.
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+		// The backend rejected the spec or the program content itself —
+		// every backend would, so failover is pointless.
 		return nil, false, permanentError{fmt.Errorf("backend %s: %s", b.URL, readError(resp))}
 	default:
 		// 503 (draining, queue full) and 5xx: transient, try elsewhere.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -12,9 +14,6 @@ import (
 	"pcoup/internal/service"
 	"pcoup/internal/tenant"
 )
-
-// ErrDraining: the gateway is shutting down and accepts no new jobs.
-var ErrDraining = errors.New("fleet: shutting down, not accepting jobs")
 
 // Options configures a Gateway.
 type Options struct {
@@ -37,8 +36,9 @@ type Options struct {
 	// cell; it doubles per attempt, capped at 30s (default 200ms).
 	RetryBackoff time.Duration
 	// PresetNames lists preset names known to the backends besides
-	// "baseline"; specs naming them are forwarded without local
-	// validation (the backend validates).
+	// "baseline"; specs naming them pass only the checks that need no
+	// machine (JobSpec.CheckShape) here, and the backend resolves the
+	// rest.
 	PresetNames []string
 }
 
@@ -147,27 +147,14 @@ func (g *Gateway) Start() error {
 // and the prober stops.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.mu.Lock()
+	stopPool := g.started && g.accepting
 	g.accepting = false
-	started := g.started
 	g.mu.Unlock()
 
-	waited := make(chan struct{})
-	go func() {
-		g.wg.Wait()
-		close(waited)
-	}()
-	var drainErr error
-	select {
-	case <-waited:
-	case <-ctx.Done():
-		g.baseCancel()
-		<-waited
-		drainErr = ctx.Err()
-	}
-	g.baseCancel()
+	drainErr := service.Drain(ctx, &g.wg, g.baseCancel)
 	g.disp.close()
 	g.workerWg.Wait()
-	if started {
+	if stopPool {
 		g.pool.close()
 	}
 	return drainErr
@@ -203,7 +190,7 @@ func (g *Gateway) SubmitAs(spec service.JobSpec, ten *tenant.Tenant) (*service.J
 	if !g.accepting {
 		g.mu.Unlock()
 		ten.SubQueued(cells)
-		return nil, ErrDraining
+		return nil, service.ErrDraining
 	}
 	job, _ := g.jobs.Add(spec, nil, ten.Name(), nil)
 	g.wg.Add(1)
@@ -247,55 +234,20 @@ func (g *Gateway) admit(ten *tenant.Tenant, n int) error {
 	return nil
 }
 
-// validate mirrors the backend's spec validation where the gateway has
-// the information; preset resolution beyond "baseline" is left to the
-// backend that receives the forwarded job.
+// validate runs the backend's spec validation where the gateway has
+// the information: a preset beyond "baseline" is resolved by the
+// backend that receives the forwarded job, so its spec gets only the
+// checks that need no machine.
 func (g *Gateway) validate(spec *service.JobSpec) error {
-	if spec.Preset != "" && spec.Preset != "baseline" {
-		known := false
-		for _, n := range g.opts.PresetNames {
-			if n == spec.Preset {
-				known = true
-			}
-		}
-		if !known {
-			return fmt.Errorf("unknown preset %q (gateway knows: %s)", spec.Preset, presetList(g.opts.PresetNames))
-		}
-		// Minimal structural checks; the owning backend validates fully.
-		selected := 0
-		if spec.Experiment != "" {
-			selected++
-		}
-		if spec.Cell != nil {
-			selected++
-		}
-		if spec.Sweep != nil {
-			selected++
-		}
-		if spec.Program != nil {
-			selected++
-		}
-		if selected != 1 {
-			return fmt.Errorf("spec must set exactly one of experiment, cell, sweep, program (got %d)", selected)
-		}
-		// Mirror the backend rule: a sweep with a preset is always invalid,
-		// and skipping Normalize here would scatter an unnormalized sweep
-		// (empty bench list, unchecked geometry) into zero cells.
-		if spec.Sweep != nil {
-			return fmt.Errorf("sweep jobs build their own machines (machine/preset must be unset)")
-		}
-		return nil
+	if spec.Preset == "" || spec.Preset == "baseline" {
+		_, err := spec.Normalize(map[string]*machine.Config{"baseline": machine.Baseline()})
+		return err
 	}
-	_, err := spec.Normalize(map[string]*machine.Config{"baseline": machine.Baseline()})
-	return err
-}
-
-func presetList(names []string) string {
-	out := "baseline"
-	for _, n := range names {
-		out += ", " + n
+	if !slices.Contains(g.opts.PresetNames, spec.Preset) {
+		known := strings.Join(append([]string{"baseline"}, g.opts.PresetNames...), ", ")
+		return fmt.Errorf("unknown preset %q (gateway knows: %s)", spec.Preset, known)
 	}
-	return out
+	return spec.CheckShape()
 }
 
 // List snapshots all gateway jobs in submission order.

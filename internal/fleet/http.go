@@ -1,10 +1,7 @@
 package fleet
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
-	"strconv"
 
 	"pcoup/internal/service"
 	"pcoup/internal/tenant"
@@ -13,7 +10,7 @@ import (
 // Handler returns the gateway's HTTP API — the same surface as one
 // pcserved, so pcq and every other client work unchanged:
 //
-//	POST   /v1/jobs             submit a job (202 + job view)
+//	POST   /v1/jobs             submit a job (202 + job view; streaming POST: 200 + NDJSON stream)
 //	POST   /v1/programs         compile-and-run an untrusted source program (202; 422 on rejection)
 //	GET    /v1/jobs             list gateway jobs
 //	GET    /v1/jobs/{id}        job status; includes result when done
@@ -23,12 +20,12 @@ import (
 //	GET    /readyz              readiness: 503 while draining or no backend is healthy
 //	GET    /metrics             Prometheus text exposition
 //
-// The four GET/DELETE job routes are the shared service.JobTable's,
-// served by the same code as pcserved's. The gateway answers pcserved's
-// streaming POST (Accept: application/x-ndjson) with the plain 202. Its
-// jobs are quiet about hits: the stream's status line never carries
-// cache_hit, so it stays byte-identical to a cold backend's, while the
-// job view reports it.
+// The six job routes are the shared service.JobTable's, served by the
+// same code as pcserved's, submission included; only the gateway can
+// refuse a submission with 429 (a tenant quota). Its jobs are quiet
+// about hits: the stream's status line never carries cache_hit, so it
+// stays byte-identical to a cold backend's, while the job view reports
+// it.
 //
 // When the gateway runs with a tenant file, every job route requires a
 // valid API key (Authorization: Bearer <key> or X-PC-Tenant-Key) and
@@ -36,9 +33,9 @@ import (
 // probes and scrapers don't carry tenant identity.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", g.withTenant(g.handleSubmit))
-	mux.HandleFunc("POST /v1/programs", g.withTenant(g.handleProgram))
-	g.jobs.Routes(mux, g.withTenant)
+	g.jobs.Routes(mux, g.withTenant, func(r *http.Request, spec service.JobSpec) (*service.Job, error) {
+		return g.SubmitAs(spec, tenant.FromContext(r.Context()))
+	})
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
@@ -56,56 +53,6 @@ func (g *Gateway) withTenant(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		h(w, r.WithContext(tenant.NewContext(r.Context(), ten)))
-	}
-}
-
-func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec service.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		service.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	g.submitAndRespond(w, r, spec)
-}
-
-// handleProgram accepts the flattened POST /v1/programs body (the same
-// shape a single pcserved accepts) and submits it as a program job.
-func (g *Gateway) handleProgram(w http.ResponseWriter, r *http.Request) {
-	var req service.ProgramRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	g.submitAndRespond(w, r, req.JobSpec())
-}
-
-// submitAndRespond runs SubmitAs for the request's tenant and writes
-// the submission response, mirroring a single backend's status mapping
-// (plus the gateway-only 429 for quota rejections).
-func (g *Gateway) submitAndRespond(w http.ResponseWriter, r *http.Request, spec service.JobSpec) {
-	ten := tenant.FromContext(r.Context())
-	if ten == nil {
-		ten = g.tenants.Default()
-	}
-	job, err := g.SubmitAs(spec, ten)
-	var qe *tenant.QuotaError
-	var pe *service.ProgramError
-	switch {
-	case err == nil:
-		service.WriteJSON(w, http.StatusAccepted, job.View(false))
-	case errors.As(err, &qe):
-		w.Header().Set("Retry-After", strconv.Itoa(qe.RetryAfterSeconds()))
-		service.WriteError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrDraining):
-		service.WriteError(w, http.StatusServiceUnavailable, err)
-	case errors.As(err, &pe):
-		service.WriteError(w, http.StatusUnprocessableEntity, err)
-	default:
-		service.WriteError(w, http.StatusBadRequest, err)
 	}
 }
 

@@ -2,11 +2,17 @@ package fleet
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"pcoup/internal/machine"
 	"pcoup/internal/service"
 )
 
@@ -66,33 +72,49 @@ func TestCancelBeforeRunReleasesQueuedCells(t *testing.T) {
 }
 
 // TestFrontDoorParity runs one script against a pcserved and against a
-// pcfleet over one pcserved. Both doors serve the same job lifecycle, so
-// views, cancellation, 404s and listing answer alike, and the streams of
-// cold jobs are byte-identical.
+// pcfleet over one pcserved. Both doors serve the same job lifecycle and
+// the same submission path, so views, cancellation, 404s, listing and
+// every refusal answer alike, and the streams of cold jobs, streaming
+// POSTs included, are byte-identical. Preset "p" is a pcserved preset at
+// the first door and a backend-only preset (PresetNames) at the second.
 func TestFrontDoorParity(t *testing.T) {
+	presets := service.Options{Workers: 2, Presets: map[string]*machine.Config{"p": machine.Mix(2, 1)}}
 	doors := []struct {
 		name string
-		open func(t *testing.T) string
+		open func(t *testing.T) (string, func(context.Context) error)
 	}{
-		{"pcserved", func(t *testing.T) string {
-			url, _, _ := startBackend(t, service.Options{Workers: 2})
-			return url
+		{"pcserved", func(t *testing.T) (string, func(context.Context) error) {
+			url, srv, _ := startBackend(t, presets)
+			return url, srv.Shutdown
 		}},
-		{"pcfleet", func(t *testing.T) string {
-			url, _, _ := startBackend(t, service.Options{Workers: 2})
-			_, ts := startGateway(t, []string{url}, nil)
-			return ts.URL
+		{"pcfleet", func(t *testing.T) (string, func(context.Context) error) {
+			url, _, _ := startBackend(t, presets)
+			gw, ts := startGateway(t, []string{url}, func(o *Options) { o.PresetNames = []string{"p"} })
+			return ts.URL, gw.Shutdown
 		}},
 	}
 	cell := service.JobSpec{Cell: &service.CellSpec{Bench: "matrix", Mode: "SEQ"}}
 	sweep := service.JobSpec{Sweep: &service.SweepSpec{Benches: []string{"fft"}, MinIU: 1, MaxIU: 2}}
+	typo := bytes.Replace(mustJSON(t, machine.Baseline()), []byte(`"hit_latency"`), []byte(`"miss_rat": 0.1, "hit_latency"`), 1)
+	refusals := []struct {
+		route, body string
+		status      int
+	}{
+		{"/v1/jobs", `{"cell":`, http.StatusBadRequest},
+		{"/v1/jobs", `{"cel":{"bench":"fft","mode":"SEQ"}}`, http.StatusBadRequest},
+		{"/v1/jobs", `{"cell":{"bench":"fft","mode":"SEQ"},"machine":` + string(typo) + `}`, http.StatusBadRequest},
+		{"/v1/jobs", `{"cell":{"bench":"fft","mode":"SEQ"},"preset":"p","timeout_ms":-1}`, http.StatusBadRequest},
+		{"/v1/programs", `{"source":"(program"}`, http.StatusUnprocessableEntity},
+		{"/v1/programs", `{"source":"` + strings.Repeat("a", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
+	}
 
 	// transcript holds what each door answered that must match byte for
-	// byte: the streams of the cold jobs and the 404 bodies.
+	// byte: the streams of the cold jobs, and the status and body of
+	// every 404 and refused submission.
 	transcript := map[string][]byte{}
 	for _, door := range doors {
 		t.Run(door.name, func(t *testing.T) {
-			base := door.open(t)
+			base, shutdown := door.open(t)
 			var ids []string
 			for _, tc := range []struct {
 				spec  service.JobSpec
@@ -111,8 +133,18 @@ func TestFrontDoorParity(t *testing.T) {
 				transcript[door.name] = append(transcript[door.name], streamBytes(t, base, id)...)
 			}
 
+			// A cold cell as a streaming POST: 200, the job named in
+			// X-PC-Job, then the job's stream.
+			resp, data := postRaw(t, base+"/v1/jobs", "application/x-ndjson", `{"cell":{"bench":"fft","mode":"SEQ"}}`)
+			id := resp.Header.Get("X-PC-Job")
+			if resp.StatusCode != http.StatusOK || id == "" {
+				t.Fatalf("streaming POST: status %d, X-PC-Job %q: %s", resp.StatusCode, id, data)
+			}
+			ids = append(ids, id)
+			transcript[door.name] = append(transcript[door.name], data...)
+
 			// A resubmission is served from cache, and the view says so.
-			id := submitJob(t, base, cell).ID
+			id = submitJob(t, base, cell).ID
 			ids = append(ids, id)
 			if v := waitJob(t, base, id); v.State != service.JobDone || !v.CacheHit {
 				t.Fatalf("resubmitted cell: state %s, cache_hit %v; want done, true", v.State, v.CacheHit)
@@ -140,6 +172,14 @@ func TestFrontDoorParity(t *testing.T) {
 				transcript[door.name] = append(transcript[door.name], body.Error+"\n"...)
 			}
 
+			for _, r := range refusals {
+				resp, data := postRaw(t, base+r.route, "", r.body)
+				if resp.StatusCode != r.status {
+					t.Fatalf("POST %s %.60s: status %d, want %d: %s", r.route, r.body, resp.StatusCode, r.status, data)
+				}
+				transcript[door.name] = fmt.Appendf(transcript[door.name], "%d %s", resp.StatusCode, data)
+			}
+
 			var list []service.JobView
 			apiJSON(t, "GET", base+"/v1/jobs", nil, http.StatusOK, &list)
 			if len(list) != len(ids) {
@@ -150,9 +190,51 @@ func TestFrontDoorParity(t *testing.T) {
 					t.Fatalf("list[%d] = %s, want %s (submission order)", i, v.ID, ids[i])
 				}
 			}
+
+			// After Shutdown both doors refuse new work with one 503.
+			if err := shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			resp, data = postRaw(t, base+"/v1/jobs", "", `{"cell":{"bench":"fft","mode":"SEQ"}}`)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("submit after Shutdown: status %d, want 503: %s", resp.StatusCode, data)
+			}
+			transcript[door.name] = fmt.Appendf(transcript[door.name], "%d %s", resp.StatusCode, data)
 		})
 	}
 	if a, b := transcript["pcserved"], transcript["pcfleet"]; !bytes.Equal(a, b) {
 		t.Fatalf("front doors differ\n--- pcserved\n%s--- pcfleet\n%s", a, b)
 	}
+}
+
+// postRaw POSTs body to url, with accept as the Accept header when set,
+// and returns the response and its whole body.
+func postRaw(t *testing.T, url, accept, body string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest("POST", url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

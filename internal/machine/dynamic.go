@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DynamicModel configures the optional dynamic-scheduling subsystem
 // (internal/dynsched): a bounded out-of-order issue window, a branch
@@ -185,39 +181,6 @@ type jsonDynamic struct {
 	SquashPenalty   int    `json:"squash_penalty,omitempty"`
 	PrefetchStreams int    `json:"prefetch_streams,omitempty"`
 	PrefetchDegree  int    `json:"prefetch_degree,omitempty"`
-}
-
-// dynamicFields is the set of accepted keys, used to reject unknown
-// fields with an error naming the offender (a typo in a dynamic tunable
-// must not silently fall back to paper-exact behavior).
-var dynamicFields = map[string]bool{
-	"window": true, "predictor": true, "predictor_bits": true,
-	"squash_penalty": true, "prefetch_streams": true, "prefetch_degree": true,
-}
-
-// UnmarshalJSON rejects unknown keys before decoding the known ones.
-func (jd *jsonDynamic) UnmarshalJSON(data []byte) error {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("machine: dynamic: %w", err)
-	}
-	var unknown []string
-	for k := range raw {
-		if !dynamicFields[k] {
-			unknown = append(unknown, k)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return fmt.Errorf("machine: dynamic.%s: unknown field", unknown[0])
-	}
-	type plain jsonDynamic
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return fmt.Errorf("machine: dynamic: %w", err)
-	}
-	*jd = jsonDynamic(p)
-	return nil
 }
 
 // Dynamic-scheduling presets, composed with the paper's machine modes by

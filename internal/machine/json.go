@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
+	"sort"
+	"strings"
 
 	"pcoup/internal/faults"
 )
@@ -122,10 +125,15 @@ func (c *Config) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(jc, "", "  ")
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. A key that names no field
+// is an error naming its path, in every section: a typo in a tunable
+// must not silently fall back to the default.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	var jc jsonConfig
 	if err := json.Unmarshal(data, &jc); err != nil {
+		return err
+	}
+	if err := checkKeys(data, reflect.TypeOf(jc), ""); err != nil {
 		return err
 	}
 	out := Config{
@@ -195,6 +203,60 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	}
 	*c = out
 	return nil
+}
+
+// checkKeys reports the first key in data, in sorted order, that no
+// field of t's JSON form names (path as in "memory.miss_rat" or
+// "clusters[1].units[0].latncy"). data has already decoded into t, so
+// its objects and arrays are well formed where t has structs and
+// slices.
+func checkKeys(data []byte, t reflect.Type, path string) error {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	switch t.Kind() {
+	case reflect.Slice:
+		var items []json.RawMessage
+		_ = json.Unmarshal(data, &items) // well formed: data decoded into t
+		for i, item := range items {
+			if err := checkKeys(item, t.Elem(), fmt.Sprintf("%s[%d]", path, i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Struct:
+		var fields map[string]json.RawMessage
+		_ = json.Unmarshal(data, &fields) // well formed: data decoded into t
+		keys := make([]string, 0, len(fields))
+		for k := range fields {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			key := k
+			if path != "" {
+				key = path + "." + k
+			}
+			f, ok := jsonField(t, k)
+			if !ok {
+				return fmt.Errorf("machine: %s: unknown field", key)
+			}
+			if err := checkKeys(fields[k], f.Type, key); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// jsonField finds the field of struct t whose JSON name is exactly name.
+func jsonField(t reflect.Type, name string) (reflect.StructField, bool) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if tag, _, _ := strings.Cut(f.Tag.Get("json"), ","); tag == name {
+			return f, true
+		}
+	}
+	return reflect.StructField{}, false
 }
 
 func interconnectToken(k InterconnectKind) string {

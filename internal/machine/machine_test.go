@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -252,5 +253,32 @@ func TestMaxActiveThreadsDefault(t *testing.T) {
 	cfg.MaxThreads = 8
 	if got := cfg.MaxActiveThreads(); got != 8 {
 		t.Errorf("MaxActiveThreads = %d, want 8", got)
+	}
+}
+
+// TestLoadRejectsUnknownKeys: a misspelt key in any section of a config
+// file fails Load with an error naming the key's path, instead of
+// leaving the field at its default. Each testdata line is a valid
+// config plus one typo, named by the path the error must give.
+func TestLoadRejectsUnknownKeys(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "unknown_keys.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var named struct{ Name string }
+		if err := json.Unmarshal([]byte(line), &named); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(named.Name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "typo.json")
+			if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Load(path)
+			if want := "machine: " + named.Name + ": unknown field"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Load: %v, want an error containing %q", err, want)
+			}
+		})
 	}
 }

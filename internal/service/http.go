@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 
@@ -27,13 +28,15 @@ import (
 // it answers 200 on the same connection, with the job ID in the X-PC-Job
 // header (flushed as soon as the job is queued) and then exactly the
 // bytes GET /v1/jobs/{id}/stream would send. Submission errors keep
-// their codes (400, 422, 503). The status line omits error and
-// cache_hit when unset.
+// their codes (400, 413, 422, 503). The status line omits error and
+// cache_hit when unset. Both routes are the JobTable's, shared with the
+// fleet gateway.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/programs", s.handleProgram)
-	s.jobs.Routes(mux, func(h http.HandlerFunc) http.HandlerFunc { return h })
+	s.jobs.Routes(mux, func(h http.HandlerFunc) http.HandlerFunc { return h },
+		func(r *http.Request, spec JobSpec) (*Job, error) {
+			return s.SubmitWithTenant(spec, tenantHeader(r))
+		})
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -58,17 +61,6 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 	}{err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.submitAndRespond(w, r, spec)
-}
-
 // maxTenantBytes caps the client-supplied X-PC-Tenant value.
 const maxTenantBytes = 64
 
@@ -88,28 +80,6 @@ func tenantHeader(r *http.Request) string {
 		n--
 	}
 	return t[:n]
-}
-
-// submitAndRespond enqueues spec and writes the submission response:
-// 202 with the job view (or 200 with its NDJSON stream when the request
-// accepts application/x-ndjson), 503 when draining or full, 422 when the
-// submitted program itself was rejected (ProgramError), 400 otherwise.
-func (s *Server) submitAndRespond(w http.ResponseWriter, r *http.Request, spec JobSpec) {
-	job, err := s.SubmitWithTenant(spec, tenantHeader(r))
-	var pe *ProgramError
-	switch {
-	case err == nil && strings.Contains(r.Header.Get("Accept"), ndjson):
-		w.Header().Set("X-PC-Job", job.id)
-		streamJob(w, r, job)
-	case err == nil:
-		WriteJSON(w, http.StatusAccepted, job.View(false))
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
-		WriteError(w, http.StatusServiceUnavailable, err)
-	case errors.As(err, &pe):
-		WriteError(w, http.StatusUnprocessableEntity, err)
-	default:
-		WriteError(w, http.StatusBadRequest, err)
-	}
 }
 
 // ProgramRequest is the POST /v1/programs body: the program spec
@@ -134,20 +104,23 @@ func (pr *ProgramRequest) JobSpec() JobSpec {
 	}
 }
 
-func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
-	var req ProgramRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.submitAndRespond(w, r, req.JobSpec())
-}
+// maxBodyBytes bounds a submission body. The largest acceptable spec
+// is a source at the service's 64 KiB cap written entirely as \u00XX
+// escapes (384 KiB) plus a maximal machine, well under 1 MiB.
+const maxBodyBytes = 1 << 20
+
+// SubmitFunc is a daemon's admission of a decoded spec for request r: a
+// Server enqueues it, a fleet Gateway admits it for the request's
+// tenant and dispatches it.
+type SubmitFunc func(r *http.Request, spec JobSpec) (*Job, error)
 
 // Routes registers the job routes both daemons share on mux, each
-// handler wrapped by wrap: list, status, cancel and stream.
-func (t *JobTable) Routes(mux *http.ServeMux, wrap func(http.HandlerFunc) http.HandlerFunc) {
+// handler wrapped by wrap: submission (POST /v1/jobs and /v1/programs,
+// which hand the decoded spec to submit), then list, status, cancel and
+// stream.
+func (t *JobTable) Routes(mux *http.ServeMux, wrap func(http.HandlerFunc) http.HandlerFunc, submit SubmitFunc) {
+	mux.HandleFunc("POST /v1/jobs", wrap(submitRoute(submit, func(spec *JobSpec) JobSpec { return *spec })))
+	mux.HandleFunc("POST /v1/programs", wrap(submitRoute(submit, (*ProgramRequest).JobSpec)))
 	mux.HandleFunc("GET /v1/jobs", wrap(func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, t.List())
 	}))
@@ -168,6 +141,49 @@ func (t *JobTable) Routes(mux *http.ServeMux, wrap func(http.HandlerFunc) http.H
 			streamJob(w, r, job)
 		}
 	}))
+}
+
+// submitRoute decodes a body of type B strictly (unknown fields are
+// errors, the size is bounded by maxBodyBytes), converts it with spec,
+// submits it, and writes the response: 202 with the job view, or 200
+// with the job's NDJSON stream for a streaming POST. A refusal is 413
+// for an oversized body, 429 + Retry-After for an error that carries
+// one (a tenant quota), 503 while draining or full, 422 for a rejected
+// program, and 400 otherwise.
+func submitRoute[B any](submit SubmitFunc, spec func(*B) JobSpec) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var body B
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&body); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				WriteError(w, http.StatusRequestEntityTooLarge, err)
+			} else {
+				WriteError(w, http.StatusBadRequest, err)
+			}
+			return
+		}
+		job, err := submit(r, spec(&body))
+		var retry interface{ RetryAfterSeconds() int }
+		var pe *ProgramError
+		switch {
+		case err == nil && strings.Contains(r.Header.Get("Accept"), ndjson):
+			w.Header().Set("X-PC-Job", job.id)
+			streamJob(w, r, job)
+		case err == nil:
+			WriteJSON(w, http.StatusAccepted, job.View(false))
+		case errors.As(err, &retry):
+			w.Header().Set("Retry-After", strconv.Itoa(retry.RetryAfterSeconds()))
+			WriteError(w, http.StatusTooManyRequests, err)
+		case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueFull):
+			WriteError(w, http.StatusServiceUnavailable, err)
+		case errors.As(err, &pe):
+			WriteError(w, http.StatusUnprocessableEntity, err)
+		default:
+			WriteError(w, http.StatusBadRequest, err)
+		}
+	}
 }
 
 // jobFor resolves {id}, writing a 404 on miss.

@@ -109,32 +109,9 @@ func (spec *JobSpec) Normalize(presets map[string]*machine.Config) (*machine.Con
 // returns the program lowered by the submission check, which the
 // caller may keep for the worker or drop.
 func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Config, *compiler.Lowered, error) {
-	selected := 0
-	if spec.Experiment != "" {
-		selected++
+	if err := spec.CheckShape(); err != nil {
+		return nil, nil, err
 	}
-	if spec.Cell != nil {
-		selected++
-	}
-	if spec.Sweep != nil {
-		selected++
-	}
-	if spec.Program != nil {
-		selected++
-	}
-	if selected != 1 {
-		return nil, nil, fmt.Errorf("spec must set exactly one of experiment, cell, sweep, program (got %d)", selected)
-	}
-	if spec.Machine != nil && spec.Preset != "" {
-		return nil, nil, fmt.Errorf("spec sets both machine and preset")
-	}
-	if spec.TimeoutMS < 0 {
-		return nil, nil, fmt.Errorf("timeout_ms: must be >= 0")
-	}
-	if spec.Options.MaxCycles < 0 {
-		return nil, nil, fmt.Errorf("options.max_cycles: must be >= 0")
-	}
-
 	var cfg *machine.Config
 	switch {
 	case spec.Machine != nil:
@@ -149,41 +126,7 @@ func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Con
 		}
 		cfg = p
 	}
-
-	switch {
-	case spec.Experiment != "":
-		if _, ok := experiments.Lookup(spec.Experiment); !ok {
-			return nil, nil, experiments.UnknownExperimentError(spec.Experiment)
-		}
-		if spec.Options.Trace {
-			return nil, nil, fmt.Errorf("options.trace applies to cell jobs only")
-		}
-	case spec.Cell != nil:
-		mode, err := experiments.ParseMode(spec.Cell.Mode)
-		if err != nil {
-			return nil, nil, err
-		}
-		spec.Cell.Mode = string(mode)
-		if err := bench.CheckName(spec.Cell.Bench); err != nil {
-			return nil, nil, err
-		}
-		if !experiments.ModeSupported(spec.Cell.Bench, mode) {
-			return nil, nil, fmt.Errorf("benchmark %q has no %s variant", spec.Cell.Bench, mode)
-		}
-	case spec.Sweep != nil:
-		if err := spec.Sweep.Normalize(); err != nil {
-			return nil, nil, err
-		}
-		if cfg != nil {
-			return nil, nil, fmt.Errorf("sweep jobs build their own machines (machine/preset must be unset)")
-		}
-		if spec.Options.Trace {
-			return nil, nil, fmt.Errorf("options.trace applies to cell jobs only")
-		}
-	case spec.Program != nil:
-		if spec.Options.Trace {
-			return nil, nil, fmt.Errorf("options.trace applies to cell jobs only")
-		}
+	if spec.Program != nil {
 		// Validate by parsing and lowering under the service limits
 		// against the resolved machine: a recursion bomb, an over-cap
 		// source, or a thread explosion is rejected here with a typed
@@ -195,6 +138,70 @@ func (spec *JobSpec) normalize(presets map[string]*machine.Config) (*machine.Con
 		return cfg, lowered, nil
 	}
 	return cfg, nil, nil
+}
+
+// CheckShape runs the spec checks that need no machine configuration,
+// filling the defaults they settle (a cell's canonical mode, a sweep's
+// geometry): exactly one kind of work, not both machine and preset, a
+// non-negative timeout and cycle budget, tracing on cells only, a
+// registered experiment, a cell the suite can run, and a bounded sweep
+// that names no machine. normalize runs it first; the fleet gateway
+// runs only it for a preset that only its backends can resolve.
+func (spec *JobSpec) CheckShape() error {
+	selected := 0
+	if spec.Experiment != "" {
+		selected++
+	}
+	if spec.Cell != nil {
+		selected++
+	}
+	if spec.Sweep != nil {
+		selected++
+	}
+	if spec.Program != nil {
+		selected++
+	}
+	if selected != 1 {
+		return fmt.Errorf("spec must set exactly one of experiment, cell, sweep, program (got %d)", selected)
+	}
+	if spec.Machine != nil && spec.Preset != "" {
+		return fmt.Errorf("spec sets both machine and preset")
+	}
+	if spec.TimeoutMS < 0 {
+		return fmt.Errorf("timeout_ms: must be >= 0")
+	}
+	if spec.Options.MaxCycles < 0 {
+		return fmt.Errorf("options.max_cycles: must be >= 0")
+	}
+	if spec.Options.Trace && spec.Cell == nil {
+		return fmt.Errorf("options.trace applies to cell jobs only")
+	}
+	switch {
+	case spec.Experiment != "":
+		if _, ok := experiments.Lookup(spec.Experiment); !ok {
+			return experiments.UnknownExperimentError(spec.Experiment)
+		}
+	case spec.Cell != nil:
+		mode, err := experiments.ParseMode(spec.Cell.Mode)
+		if err != nil {
+			return err
+		}
+		spec.Cell.Mode = string(mode)
+		if err := bench.CheckName(spec.Cell.Bench); err != nil {
+			return err
+		}
+		if !experiments.ModeSupported(spec.Cell.Bench, mode) {
+			return fmt.Errorf("benchmark %q has no %s variant", spec.Cell.Bench, mode)
+		}
+	case spec.Sweep != nil:
+		if err := spec.Sweep.Normalize(); err != nil {
+			return err
+		}
+		if spec.Machine != nil || spec.Preset != "" {
+			return fmt.Errorf("sweep jobs build their own machines (machine/preset must be unset)")
+		}
+	}
+	return nil
 }
 
 // Normalize fills sweep defaults and bounds the geometry. The fleet

@@ -267,21 +267,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 
-	waited := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(waited)
-	}()
-	var drainErr error
-	select {
-	case <-waited:
-	case <-ctx.Done():
-		s.baseCancel()
-		<-waited
-		drainErr = ctx.Err()
-	}
-	s.baseCancel()
-
+	drainErr := Drain(ctx, &s.wg, s.baseCancel)
 	if s.opts.CacheFile != "" {
 		if err := s.cache.SaveFile(s.opts.CacheFile); err != nil {
 			return err
