@@ -1,6 +1,7 @@
 package pcoup_test
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -126,6 +127,32 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "unknown variable") {
 		t.Errorf("pcc error output:\n%s", out)
+	}
+
+	// A float program for a valid machine with no FPU fails with an
+	// error message, not a panic.
+	base, err := os.ReadFile("configs/baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var noFPU map[string]any
+	if err := json.Unmarshal(base, &noFPU); err != nil {
+		t.Fatal(err)
+	}
+	noFPU["clusters"] = []any{
+		map[string]any{"units": []any{map[string]any{"kind": "IU", "latency": 1}, map[string]any{"kind": "MEM", "latency": 1}}},
+		map[string]any{"units": []any{map[string]any{"kind": "BR", "latency": 1}}},
+	}
+	cfgData, err := json.Marshal(noFPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgPath := filepath.Join(dir, "nofpu.json")
+	os.WriteFile(cfgPath, cfgData, 0o644)
+	cmd = exec.Command(filepath.Join(bin, "pcc"), "-machine", cfgPath, genPath)
+	out, err = cmd.CombinedOutput()
+	if err == nil || strings.Contains(string(out), "panic") || !strings.Contains(string(out), "no FPU") {
+		t.Errorf("pcc for a machine with no FPU: err %v, output:\n%s", err, out)
 	}
 }
 

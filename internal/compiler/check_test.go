@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pcoup/internal/compiler"
+	"pcoup/internal/machine"
 	"pcoup/internal/progfuzz"
 	"pcoup/internal/sexpr"
 )
@@ -257,4 +258,43 @@ func nodePath(v reflect.Value, path string, seen map[uintptr]bool) string {
 		}
 	}
 	return ""
+}
+
+// TestMissingUnitKind: a program whose operations need a kind of unit
+// the machine lacks is a source-level rejection, a typed UnitError from
+// lowering, in Compile and in LowerBounded alike; the same machine
+// compiles a program that needs only the units it has.
+func TestMissingUnitKind(t *testing.T) {
+	noFPU := machine.Baseline()
+	noFPU.Clusters = []machine.ClusterSpec{
+		{Units: []machine.UnitSpec{{Kind: machine.IU, Latency: 1}, {Kind: machine.MEM, Latency: 1}}},
+		{Units: []machine.UnitSpec{{Kind: machine.BR, Latency: 1}}},
+	}
+	if err := noFPU.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const float = `
+(program f
+  (global x (array float 2))
+  (def (main) (aset x 1 (* (aref x 0) 2.5))))`
+	const integer = `
+(program i
+  (global x (array int 2))
+  (def (main) (aset x 1 (* (aref x 0) 3))))`
+	if _, _, err := compiler.Compile(integer, noFPU, compiler.Options{}); err != nil {
+		t.Fatalf("integer program: %v", err)
+	}
+	_, _, err := compiler.Compile(float, noFPU, compiler.Options{})
+	var ue *compiler.UnitError
+	if !errors.As(err, &ue) || ue.Kind != machine.FPU {
+		t.Fatalf("Compile of a float program without an FPU: err %v, want a UnitError for FPU", err)
+	}
+	lim := compiler.ServiceLimits()
+	forms, err := compiler.ParseBounded(float, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := compiler.LowerBounded(context.Background(), forms, noFPU, compiler.Options{}, lim); !errors.As(err, &ue) {
+		t.Fatalf("LowerBounded: err %v, want a UnitError", err)
+	}
 }

@@ -103,6 +103,17 @@ func (e *CompileError) Error() string {
 	return fmt.Sprintf("compile: %s: %s", e.Pos, e.Msg)
 }
 
+// UnitError reports a program that needs a kind of function unit the
+// machine does not have, such as a floating-point operation on a
+// machine with no FPU: no schedule can place it.
+type UnitError struct {
+	Kind machine.UnitKind
+}
+
+func (e *UnitError) Error() string {
+	return fmt.Sprintf("compile: program has %v operations, and the machine has no %v", e.Kind, e.Kind)
+}
+
 func errAt(n *sexpr.Node, format string, args ...any) error {
 	pos := ""
 	if n != nil {
@@ -132,8 +143,8 @@ func CompileForms(forms []*sexpr.Node, cfg *machine.Config, opts Options) (*isa.
 // lowerForms is the front half of a compile: configuration validation,
 // declaration processing and lowering to IR, under lim when non-nil (see
 // CompileBounded).
-// Every source-level rejection (CompileError, LimitError, DeadlineError)
-// is raised here. The env it returns holds no parse-tree node.
+// Every source-level rejection (CompileError, LimitError, DeadlineError,
+// UnitError) is raised here. The env it returns holds no parse-tree node.
 func lowerForms(forms []*sexpr.Node, cfg *machine.Config, opts Options, lim *Limits) (*env, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

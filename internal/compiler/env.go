@@ -69,6 +69,9 @@ type env struct {
 	lim       *Limits
 	irOps     int64
 	stmtCount int64
+	// unitKinds records which kinds of function unit the lowered
+	// operations need.
+	unitKinds [machine.NumUnitKinds]bool
 
 	// units holds the scheduler's unit tables, built once per build.
 	units *unitTables
@@ -334,6 +337,11 @@ func (e *env) lowerAll() error {
 	}
 	if err := e.checkThreads(); err != nil {
 		return err
+	}
+	for k, need := range e.unitKinds {
+		if kind := machine.UnitKind(k); need && e.cfg.CountUnits(kind) == 0 {
+			return &UnitError{Kind: kind}
+		}
 	}
 	// A deadline that has passed by the end of lowering rejects the
 	// program here, whatever its statement count, so the back half

@@ -153,6 +153,7 @@ func (lc *lowerCtx) place(b *Block) {
 
 func (lc *lowerCtx) emit(in *Instr) {
 	lc.env.irOps++
+	lc.env.unitKinds[in.Op.Unit()] = true
 	lc.cur.Instrs = append(lc.cur.Instrs, in)
 }
 

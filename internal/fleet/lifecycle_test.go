@@ -96,6 +96,17 @@ func TestFrontDoorParity(t *testing.T) {
 	cell := service.JobSpec{Cell: &service.CellSpec{Bench: "matrix", Mode: "SEQ"}}
 	sweep := service.JobSpec{Sweep: &service.SweepSpec{Benches: []string{"fft"}, MinIU: 1, MaxIU: 2}}
 	typo := bytes.Replace(mustJSON(t, machine.Baseline()), []byte(`"hit_latency"`), []byte(`"miss_rat": 0.1, "hit_latency"`), 1)
+	// A machine the validator accepts but with no FPU, and a program with
+	// a float multiply: the compile is refused at submission.
+	noFPU := machine.Baseline()
+	noFPU.Clusters = []machine.ClusterSpec{
+		{Units: []machine.UnitSpec{{Kind: machine.IU, Latency: 1}, {Kind: machine.MEM, Latency: 1}}},
+		{Units: []machine.UnitSpec{{Kind: machine.BR, Latency: 1}}},
+	}
+	floatProg := mustJSON(t, service.ProgramRequest{
+		ProgramSpec: service.ProgramSpec{Source: "(program f (global x (array float 2)) (def (main) (aset x 1 (* (aref x 0) 2.5))))"},
+		Machine:     noFPU,
+	})
 	refusals := []struct {
 		route, body string
 		status      int
@@ -105,6 +116,7 @@ func TestFrontDoorParity(t *testing.T) {
 		{"/v1/jobs", `{"cell":{"bench":"fft","mode":"SEQ"},"machine":` + string(typo) + `}`, http.StatusBadRequest},
 		{"/v1/jobs", `{"cell":{"bench":"fft","mode":"SEQ"},"preset":"p","timeout_ms":-1}`, http.StatusBadRequest},
 		{"/v1/programs", `{"source":"(program"}`, http.StatusUnprocessableEntity},
+		{"/v1/programs", string(floatProg), http.StatusUnprocessableEntity},
 		{"/v1/programs", `{"source":"` + strings.Repeat("a", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 
