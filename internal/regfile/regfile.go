@@ -3,6 +3,12 @@
 // operation's sources must be valid (present) before it may issue, issuing
 // clears the destination's presence bit, and writeback sets it (Section 2
 // of the paper, "Intra-thread Synchronization").
+//
+// A Set is sized when it is made: the caller names how many registers
+// each cluster's file holds (the simulator gives every thread the
+// registers its code segment names), and one backing array holds the
+// values and one the presence bits of all clusters. Indexing a register
+// beyond its file panics, like any out-of-range slice index.
 package regfile
 
 import (
@@ -11,59 +17,46 @@ import (
 	"pcoup/internal/isa"
 )
 
-// File is one thread's logical register file in one cluster. Registers
-// are allocated on demand; the compiler assumes an unbounded register
-// space and reports peak usage.
+// File is one thread's logical register file in one cluster, a window
+// onto its Set's backing arrays. Registers never written hold an
+// undefined zero and are present, matching a machine whose presence
+// bits reset to full.
 type File struct {
-	vals  []isa.Value
-	valid []bool
-	peak  int
+	vals []isa.Value
+	// pending holds the complemented presence bits, so a fresh file's
+	// zeroed array reads as all present.
+	pending []bool
+	peak    int
 }
 
-// NewFile returns an empty register file.
-func NewFile() *File { return &File{} }
-
-func (f *File) grow(idx int) {
-	for len(f.vals) <= idx {
-		f.vals = append(f.vals, isa.Value{})
-		f.valid = append(f.valid, true)
-	}
-	if idx+1 > f.peak {
+func (f *File) touch(idx int) {
+	if idx >= f.peak {
 		f.peak = idx + 1
 	}
 }
 
-// Valid reports whether register idx holds valid data. Registers never
-// written are considered valid (they hold an undefined zero), matching a
-// machine whose presence bits reset to full.
-func (f *File) Valid(idx int) bool {
-	if idx >= len(f.valid) {
-		return true
-	}
-	return f.valid[idx]
-}
+// Valid reports whether register idx holds valid data.
+func (f *File) Valid(idx int) bool { return !f.pending[idx] }
 
 // Read returns the value of register idx. Reading an invalid register is
 // a scoreboard violation; callers must check Valid first.
-func (f *File) Read(idx int) isa.Value {
-	if idx >= len(f.vals) {
-		return isa.Value{}
-	}
-	return f.vals[idx]
-}
+func (f *File) Read(idx int) isa.Value { return f.vals[idx] }
 
 // ClearValid marks register idx as pending (issued but not written back).
 func (f *File) ClearValid(idx int) {
-	f.grow(idx)
-	f.valid[idx] = false
+	f.touch(idx)
+	f.pending[idx] = true
 }
 
 // Write stores v into register idx and sets its presence bit.
 func (f *File) Write(idx int, v isa.Value) {
-	f.grow(idx)
+	f.touch(idx)
 	f.vals[idx] = v
-	f.valid[idx] = true
+	f.pending[idx] = false
 }
+
+// Size returns the number of registers the file holds.
+func (f *File) Size() int { return len(f.vals) }
 
 // Peak returns the highest register index used plus one.
 func (f *File) Peak() int { return f.peak }
@@ -72,8 +65,8 @@ func (f *File) Peak() int { return f.peak }
 // (results still in flight).
 func (f *File) PendingCount() int {
 	n := 0
-	for _, v := range f.valid {
-		if !v {
+	for _, p := range f.pending[:f.peak] {
+		if p {
 			n++
 		}
 	}
@@ -87,61 +80,75 @@ type FileState struct {
 	Peak  int         `json:"peak,omitempty"`
 }
 
-// State captures the file's state.
+// State captures the file's state: the value and presence bit of each
+// register below the peak (no register above it was ever touched).
 func (f *File) State() FileState {
-	return FileState{
-		Vals:  append([]isa.Value(nil), f.vals...),
-		Valid: append([]bool(nil), f.valid...),
-		Peak:  f.peak,
+	st := FileState{Vals: append([]isa.Value(nil), f.vals[:f.peak]...), Peak: f.peak}
+	if f.peak > 0 {
+		st.Valid = make([]bool, f.peak)
+		for i, p := range f.pending[:f.peak] {
+			st.Valid[i] = !p
+		}
 	}
+	return st
 }
 
 // SetState restores state previously captured with State, which holds
-// one value and one presence bit per register.
+// one value and one presence bit per register up to its peak. A state
+// with more registers than the file holds is one no run of the file's
+// code produces, and is rejected.
 func (f *File) SetState(st FileState) error {
-	if len(st.Vals) != len(st.Valid) || len(st.Vals) > isa.MaxRegIndex+1 {
-		return fmt.Errorf("regfile: snapshot has %d values and %d presence bits (want equal counts, at most %d)",
-			len(st.Vals), len(st.Valid), isa.MaxRegIndex+1)
+	if len(st.Vals) != len(st.Valid) || st.Peak != len(st.Vals) || st.Peak > len(f.vals) {
+		return fmt.Errorf("regfile: snapshot has %d values, %d presence bits and peak %d (want all equal, at most %d)",
+			len(st.Vals), len(st.Valid), st.Peak, len(f.vals))
 	}
-	f.vals = append([]isa.Value(nil), st.Vals...)
-	f.valid = append([]bool(nil), st.Valid...)
+	clear(f.vals[copy(f.vals, st.Vals):])
+	for i := range f.pending {
+		f.pending[i] = i < len(st.Valid) && !st.Valid[i]
+	}
 	f.peak = st.Peak
 	return nil
 }
 
 // Set is one thread's complete register state: one File per cluster.
 type Set struct {
-	files []*File
+	files []File
 }
 
-// NewSet creates register files for numClusters clusters.
-func NewSet(numClusters int) *Set {
-	s := &Set{files: make([]*File, numClusters)}
-	for i := range s.files {
-		s.files[i] = NewFile()
+// NewSet creates register files for len(sizes) clusters, sizes[c]
+// registers in cluster c, all present and zero.
+func NewSet(sizes []int) Set {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	vals := make([]isa.Value, total)
+	pending := make([]bool, total)
+	s := Set{files: make([]File, len(sizes))}
+	at := 0
+	for c, n := range sizes {
+		s.files[c] = File{vals: vals[at : at+n : at+n], pending: pending[at : at+n : at+n]}
+		at += n
 	}
 	return s
 }
 
-// File returns the register file for a cluster.
-func (s *Set) File(cluster int) *File {
-	if cluster < 0 || cluster >= len(s.files) {
-		panic(fmt.Sprintf("regfile: cluster %d out of range", cluster))
-	}
-	return s.files[cluster]
-}
-
 // Valid reports whether the referenced register is present.
-func (s *Set) Valid(r isa.RegRef) bool { return s.File(r.Cluster).Valid(r.Index) }
+func (s *Set) Valid(r isa.RegRef) bool { return s.files[r.Cluster].Valid(r.Index) }
 
 // Read returns the referenced register's value.
-func (s *Set) Read(r isa.RegRef) isa.Value { return s.File(r.Cluster).Read(r.Index) }
+func (s *Set) Read(r isa.RegRef) isa.Value { return s.files[r.Cluster].Read(r.Index) }
 
 // ClearValid clears the referenced register's presence bit.
-func (s *Set) ClearValid(r isa.RegRef) { s.File(r.Cluster).ClearValid(r.Index) }
+func (s *Set) ClearValid(r isa.RegRef) { s.files[r.Cluster].ClearValid(r.Index) }
 
 // Write writes the referenced register and sets its presence bit.
-func (s *Set) Write(r isa.RegRef, v isa.Value) { s.File(r.Cluster).Write(r.Index, v) }
+func (s *Set) Write(r isa.RegRef, v isa.Value) { s.files[r.Cluster].Write(r.Index, v) }
+
+// Has reports whether the set holds the referenced register.
+func (s *Set) Has(r isa.RegRef) bool {
+	return r.Cluster >= 0 && r.Cluster < len(s.files) && r.Index >= 0 && r.Index < s.files[r.Cluster].Size()
+}
 
 // OperandValid reports whether an operand is readable (immediates always
 // are).
@@ -163,8 +170,8 @@ func (s *Set) OperandValue(o isa.Operand) isa.Value {
 // PeakPerCluster returns peak register usage per cluster.
 func (s *Set) PeakPerCluster() []int {
 	out := make([]int, len(s.files))
-	for i, f := range s.files {
-		out[i] = f.Peak()
+	for i := range s.files {
+		out[i] = s.files[i].Peak()
 	}
 	return out
 }
@@ -173,8 +180,8 @@ func (s *Set) PeakPerCluster() []int {
 // across all clusters.
 func (s *Set) PendingCount() int {
 	n := 0
-	for _, f := range s.files {
-		n += f.PendingCount()
+	for i := range s.files {
+		n += s.files[i].PendingCount()
 	}
 	return n
 }
@@ -182,8 +189,8 @@ func (s *Set) PendingCount() int {
 // State captures every cluster file's state.
 func (s *Set) State() []FileState {
 	out := make([]FileState, len(s.files))
-	for i, f := range s.files {
-		out[i] = f.State()
+	for i := range s.files {
+		out[i] = s.files[i].State()
 	}
 	return out
 }

@@ -7,8 +7,14 @@ import (
 	"pcoup/internal/isa"
 )
 
+// newFile returns the single file of a one-cluster set of n registers.
+func newFile(n int) *File {
+	s := NewSet([]int{n})
+	return &s.files[0]
+}
+
 func TestPresenceProtocol(t *testing.T) {
-	f := NewFile()
+	f := newFile(8)
 	// Unwritten registers read as valid (presence bits reset to full).
 	if !f.Valid(5) {
 		t.Error("fresh register should be valid")
@@ -24,17 +30,33 @@ func TestPresenceProtocol(t *testing.T) {
 }
 
 func TestPeakTracksHighWater(t *testing.T) {
-	f := NewFile()
+	f := newFile(16)
+	if f.Peak() != 0 || f.Size() != 16 {
+		t.Errorf("fresh file: Peak = %d, Size = %d, want 0, 16", f.Peak(), f.Size())
+	}
 	f.Write(0, isa.Int(1))
 	f.Write(9, isa.Int(1))
 	f.Write(3, isa.Int(1))
 	if f.Peak() != 10 {
 		t.Errorf("Peak = %d, want 10", f.Peak())
 	}
+	// State covers the registers below the peak only, however large the
+	// file, and restores into a file of any size that holds them.
+	st := f.State()
+	if len(st.Vals) != 10 || len(st.Valid) != 10 || st.Peak != 10 {
+		t.Fatalf("State has %d values, %d presence bits, peak %d; want 10 each", len(st.Vals), len(st.Valid), st.Peak)
+	}
+	g := newFile(10)
+	if err := g.SetState(st); err != nil || g.Peak() != 10 || g.Read(9).AsInt() != 1 {
+		t.Errorf("SetState into a 10-register file: err %v, peak %d", err, g.Peak())
+	}
+	if err := newFile(9).SetState(st); err == nil {
+		t.Error("SetState accepted 10 registers into a 9-register file")
+	}
 }
 
 func TestPendingCount(t *testing.T) {
-	f := NewFile()
+	f := newFile(2)
 	f.ClearValid(0)
 	f.ClearValid(1)
 	f.Write(0, isa.Int(1))
@@ -44,7 +66,7 @@ func TestPendingCount(t *testing.T) {
 }
 
 func TestSetRouting(t *testing.T) {
-	s := NewSet(3)
+	s := NewSet([]int{3, 3, 3})
 	r0 := isa.RegRef{Cluster: 0, Index: 2}
 	r2 := isa.RegRef{Cluster: 2, Index: 2}
 	s.Write(r0, isa.Int(10))
@@ -72,7 +94,7 @@ func TestSetRouting(t *testing.T) {
 }
 
 func TestOperands(t *testing.T) {
-	s := NewSet(1)
+	s := NewSet([]int{2})
 	imm := isa.ImmInt(7)
 	if !s.OperandValid(imm) || s.OperandValue(imm).AsInt() != 7 {
 		t.Error("immediate operand")
@@ -88,20 +110,33 @@ func TestOperands(t *testing.T) {
 	}
 }
 
+// TestClusterRangePanics: a register outside the set, by cluster or by
+// index, is no register of the thread: Has says so, and touching it
+// panics.
 func TestClusterRangePanics(t *testing.T) {
-	s := NewSet(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range cluster did not panic")
+	s := NewSet([]int{2, 1})
+	for _, r := range []isa.RegRef{{Cluster: 2, Index: 0}, {Cluster: 1, Index: 1}} {
+		if s.Has(r) {
+			t.Errorf("Has(%s) on sizes [2 1]", r)
 		}
-	}()
-	s.File(2)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Valid(%s) out of range did not panic", r)
+				}
+			}()
+			s.Valid(r)
+		}()
+	}
+	if !s.Has(isa.RegRef{Cluster: 1, Index: 0}) {
+		t.Error("Has(c1.r0) on sizes [2 1]")
+	}
 }
 
 // TestWriteReadProperty: a write is always observed by the next read of
 // the same register and never disturbs other registers.
 func TestWriteReadProperty(t *testing.T) {
-	f := NewFile()
+	f := newFile(64)
 	shadow := map[int]int64{}
 	check := func(idxRaw uint8, val int64) bool {
 		idx := int(idxRaw % 64)

@@ -25,17 +25,49 @@ func (s *Sim) segShapes(i int) dynsched.Shapes {
 	return s.shapes[i]
 }
 
+// candidate is a thread that may issue this cycle, with the OR of its
+// window entries' unissued masks: the unit slots it has operations for.
+type candidate struct {
+	t     *Thread
+	slots uint64
+}
+
+// gatherCandidates lists, in arbitration order, the threads of order
+// that may issue this cycle (not stalled, halted or squash-suppressed)
+// and have an unissued operation, and returns the union of their slots.
+// Masks only shrink during the issue phase, so each candidate's slots
+// stay a superset of what it can still issue.
+func (s *Sim) gatherCandidates(order []*Thread) uint64 {
+	s.cands = s.cands[:0]
+	var held uint64
+	for _, t := range order {
+		if t.stalled || t.Halted || s.cycle <= t.squashUntil {
+			continue
+		}
+		var m uint64
+		for _, e := range t.win.Entries {
+			m |= e.Unissued
+		}
+		if m != 0 {
+			s.cands = append(s.cands, candidate{t: t, slots: m})
+			held |= m
+		}
+	}
+	return held
+}
+
 // issue is step's issue phase. Under the lock-step ablation whole head
 // words are admitted first, all or nothing, reserving their units in
 // thread-arbitration order; nothing else may issue then, since any
 // partial word would slip. Otherwise each unit independently takes one
-// ready operation.
+// ready operation from the cycle's candidates.
 func (s *Sim) issue() {
 	order := s.threadOrder()
 	if s.cfg.LockStepIssue {
 		s.admitLockStep(order)
 		return
 	}
+	held := s.gatherCandidates(order)
 	for slot := range s.units {
 		// Degradation windows: a down unit issues nothing this cycle.
 		// Every slot is probed every cycle, so the injector's per-cycle
@@ -44,9 +76,15 @@ func (s *Sim) issue() {
 			continue
 		}
 		bit := uint64(1) << slot
-	threads:
-		for _, t := range order {
-			if t.stalled || t.Halted || s.cycle <= t.squashUntil {
+		if held&bit == 0 {
+			continue
+		}
+	cands:
+		for _, c := range s.cands {
+			// An earlier unit's issue may have halted the thread or
+			// started a squash penalty.
+			t := c.t
+			if c.slots&bit == 0 || t.stalled || t.Halted || s.cycle <= t.squashUntil {
 				continue
 			}
 			// The thread's window entries, oldest first.
@@ -62,7 +100,12 @@ func (s *Sim) issue() {
 					continue
 				}
 				s.issueEntryOp(t, k, e, slot, op)
-				break threads // unit consumed this cycle
+				if op.Code == isa.OpHalt {
+					// The halt woke every stalled thread (see halt); the
+					// units after this one must see them.
+					held = s.gatherCandidates(order)
+				}
+				break cands // unit consumed this cycle
 			}
 		}
 	}
@@ -213,7 +256,7 @@ func (s *Sim) issueEntryOp(t *Thread, k int, e *dynsched.Entry, slot int, op *is
 	case isa.OpFork:
 		s.spawn(op.Target)
 	case isa.OpHalt:
-		s.haltIssued(t)
+		s.halt(t)
 	default:
 		// Pure compute: result known now, written back after the unit's
 		// pipeline latency.
@@ -367,7 +410,7 @@ func (s *Sim) frontier(t *Thread) bool {
 		changed = true
 		if win.RetireHead() {
 			t.IP = len(t.Seg.Instrs)
-			t.Halted, t.HaltAt = true, s.cycle
+			s.halt(t)
 			return true
 		}
 	}

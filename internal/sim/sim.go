@@ -25,7 +25,7 @@ import (
 // writeback is one register write waiting for (or travelling toward) its
 // destination register file.
 type writeback struct {
-	thread     *Thread
+	thread     int // the writing thread's ID, which is also its priority
 	dst        isa.RegRef
 	val        isa.Value
 	srcCluster int
@@ -136,6 +136,7 @@ type Sim struct {
 	// Per-cycle scratch buffers, reused across cycles so the steady-state
 	// kernel allocates nothing.
 	rotScratch  []*Thread
+	cands       []candidate
 	busyScratch []bool
 	valScratch  []isa.Value
 
@@ -152,6 +153,9 @@ type Sim struct {
 	winCap int
 	// shapes caches each segment's decoded word shapes (segShapes).
 	shapes []dynsched.Shapes
+	// regSizes caches each segment's register count per cluster
+	// (segRegs).
+	regSizes [][]int
 	// dyn is the dynamic-scheduling subsystem (branch prediction,
 	// prefetching, their counters); nil unless cfg.Dynamic is enabled.
 	dyn *dynState
@@ -296,6 +300,7 @@ func New(cfg *machine.Config, prog *isa.Program, opts ...Option) (*Sim, error) {
 		arb:          interconnect.New(cfg.Interconnect, len(cfg.Clusters)),
 		winCap:       max(cfg.Dynamic.Window, 1),
 		shapes:       make([]dynsched.Shapes, len(prog.Segments)),
+		regSizes:     make([][]int, len(prog.Segments)),
 		watchWindow:  defaultWatchdogWindow,
 		watchRetries: defaultWatchdogRetries,
 	}
@@ -376,7 +381,7 @@ func (s *Sim) spawn(segIdx int) *Thread {
 		Priority: s.nextTID,
 		SegIdx:   segIdx,
 		Seg:      s.prog.Segments[segIdx],
-		Regs:     regfile.NewSet(len(s.cfg.Clusters)),
+		Regs:     regfile.NewSet(s.segRegs(segIdx)),
 		SpawnAt:  s.cycle,
 	}
 	s.nextTID++
@@ -399,6 +404,36 @@ func (s *Sim) spawn(segIdx int) *Thread {
 	}
 	s.pendingSpawns = append(s.pendingSpawns, t)
 	return t
+}
+
+// segRegs returns segment i's register count per cluster, counting them
+// on first use: the highest index any of its ops reads or writes in the
+// cluster, plus one. Every thread running the segment gets files of
+// these sizes. The program's declared register counts are not consulted:
+// hand-written assembly may omit them or get them wrong.
+func (s *Sim) segRegs(i int) []int {
+	if s.regSizes[i] != nil {
+		return s.regSizes[i]
+	}
+	n := make([]int, len(s.cfg.Clusters))
+	use := func(r isa.RegRef) { n[r.Cluster] = max(n[r.Cluster], r.Index+1) }
+	for _, w := range s.prog.Segments[i].Instrs {
+		for _, op := range w.Ops {
+			if op == nil {
+				continue
+			}
+			for _, src := range op.Srcs {
+				if src.Kind == isa.OperandReg {
+					use(src.Reg)
+				}
+			}
+			for _, d := range op.Dests {
+				use(d)
+			}
+		}
+	}
+	s.regSizes[i] = n
+	return n
 }
 
 func (s *Sim) activateSpawns() {
@@ -426,9 +461,16 @@ func (s *Sim) compactLive() {
 
 // activeCount returns the number of unhalted threads (including spawns
 // activating next cycle). It checks Halted because a thread halting
-// mid-cycle frees its slot at once, before s.live is compacted.
+// mid-cycle frees its slot at once, before s.live is compacted, and a
+// spawn with no operation to start at is halted from the start: no
+// thread is woken when activateSpawns drops it.
 func (s *Sim) activeCount() int {
-	n := len(s.pendingSpawns)
+	n := 0
+	for _, t := range s.pendingSpawns {
+		if !t.Halted {
+			n++
+		}
+	}
 	for _, t := range s.live {
 		if !t.Halted {
 			n++
@@ -713,20 +755,22 @@ func (s *Sim) allocReq() *memsys.Request {
 func (s *Sim) pushWriteback(t *Thread, dst isa.RegRef, v isa.Value, srcCluster int, readyAt int64) {
 	s.wbSeq++
 	s.wbq = append(s.wbq, writeback{
-		thread: t, dst: dst, val: v, srcCluster: srcCluster,
+		thread: t.ID, dst: dst, val: v, srcCluster: srcCluster,
 		readyAt: readyAt, seq: s.wbSeq,
 	})
 }
 
-// wbLess orders writebacks by (readyAt, priority, seq). seq is globally
-// unique, so this is a strict total order: every sort of a queue yields
-// the same permutation, regardless of algorithm or starting order.
+// wbLess orders writebacks by (readyAt, priority, seq), where a
+// thread's priority is its ID (spawn assigns it so, and Restore rejects
+// anything else). seq is globally unique, so this is a strict total
+// order: every sort of a queue yields the same permutation, regardless
+// of algorithm or starting order.
 func wbLess(a, b *writeback) bool {
 	if a.readyAt != b.readyAt {
 		return a.readyAt < b.readyAt
 	}
-	if a.thread.Priority != b.thread.Priority {
-		return a.thread.Priority < b.thread.Priority
+	if a.thread != b.thread {
+		return a.thread < b.thread
 	}
 	return a.seq < b.seq
 }
@@ -776,10 +820,11 @@ func (s *Sim) drainWritebacks() bool {
 			continue
 		}
 		if s.arb.TryGrant(interconnect.Request{SrcCluster: wb.srcCluster, DstCluster: wb.dst.Cluster}) {
-			wb.thread.Regs.Write(wb.dst, wb.val)
-			wb.thread.stalled = false
+			t := s.byID[wb.thread]
+			t.Regs.Write(wb.dst, wb.val)
+			t.stalled = false
 			for _, o := range s.obs {
-				o.Writeback(s.cycle, wb.thread.ID, wb.dst, wb.val)
+				o.Writeback(s.cycle, wb.thread, wb.dst, wb.val)
 			}
 			s.progress()
 		} else {
@@ -872,10 +917,12 @@ func (s *Sim) opCacheOK(slot, seg, ip int) bool {
 	return s.opCaches[slot].lookup(seg, ip, s.cycle)
 }
 
-// haltIssued retires t as its halt issues. The halt frees a thread slot
-// mid-cycle: forks blocked on MaxActiveThreads become ready for the
-// units arbitrated after this one, exactly as under the uncached scan.
-func (s *Sim) haltIssued(t *Thread) {
+// halt retires t, as its halt issues or as it runs off the end of its
+// code. Either way the thread's slot frees at once, so every stalled
+// thread wakes: a fork blocked on MaxActiveThreads becomes ready, for
+// the units arbitrated after a halt that issued, or at the next settle
+// after a thread ran off its code.
+func (s *Sim) halt(t *Thread) {
 	t.Halted, t.HaltAt = true, s.cycle
 	for _, other := range s.live {
 		other.stalled = false

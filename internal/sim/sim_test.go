@@ -413,6 +413,70 @@ func TestMaxThreadsBlocksFork(t *testing.T) {
 	}
 }
 
+// TestImplicitHaltWakesFork: a thread that ends without issuing a halt
+// frees its thread slot just as a halt does, so a fork blocked on
+// MaxActiveThreads goes on. In "ran-off-code" main's second fork waits
+// for the first child, which runs off the end of its code. In
+// "empty-segment" b's fork loses the branch unit to main's fork of a
+// segment with no operation, whose thread is halted from its spawn on,
+// so it never holds a slot. Under either kernel both runs must finish,
+// not report a deadlock.
+func TestImplicitHaltWakesFork(t *testing.T) {
+	child := &isa.ThreadCode{Name: "child", Instrs: []isa.Instruction{
+		word(opAdd(uIU0, r(0, 0), isa.ImmInt(1), isa.ImmInt(2))),
+		word(opAdd(uIU0, r(0, 1), isa.Reg(r(0, 0)), isa.ImmInt(3))),
+	}}
+	forker := &isa.ThreadCode{Name: "main", Instrs: []isa.Instruction{
+		word(&isa.Op{Code: isa.OpFork, Unit: uBR, Target: 1}),
+		word(&isa.Op{Code: isa.OpFork, Unit: uBR, Target: 1}),
+		word(opHalt()),
+	}}
+	empty := &isa.ThreadCode{Name: "empty", Instrs: []isa.Instruction{word()}}
+	b := &isa.ThreadCode{Name: "b", Instrs: []isa.Instruction{
+		word(&isa.Op{Code: isa.OpFork, Unit: uBR, Target: 1}),
+		word(opStore(uMEM1, isa.ImmInt(1), 8)), // releases main
+		word(opHalt()),
+	}}
+	waiter := &isa.ThreadCode{Name: "main", Instrs: []isa.Instruction{
+		word(&isa.Op{Code: isa.OpFork, Unit: uBR, Target: 2}),
+		word(&isa.Op{Code: isa.OpFork, Unit: uBR, Target: 1}),
+		word(opLoad(uMEM0, r(0, 0), 8, isa.SyncWaitFull)),
+		word(opHalt()),
+	}}
+	flag := prog(waiter, empty, b)
+	flag.Data = []isa.DataSegment{{Name: "flag", Addr: 8, Values: []isa.Value{isa.Int(0)}, Full: false}}
+	for _, tc := range []struct {
+		name       string
+		prog       *isa.Program
+		maxThreads int
+		cycles     int64
+	}{
+		{"ran-off-code", prog(forker, child), 2, 7},
+		{"empty-segment", flag, 3, 6},
+	} {
+		for _, kernel := range []struct {
+			name string
+			opts []Option
+		}{{"event", nil}, {"ticking", []Option{WithCycleSkipping(false)}}} {
+			t.Run(tc.name+"/"+kernel.name, func(t *testing.T) {
+				cfg := miniMachine()
+				cfg.MaxThreads = tc.maxThreads
+				s, err := New(cfg, tc.prog, kernel.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Run(10000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cycles != tc.cycles {
+					t.Errorf("cycles %d, want %d", res.Cycles, tc.cycles)
+				}
+			})
+		}
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	main := &isa.ThreadCode{Name: "main", Instrs: []isa.Instruction{
 		word(opLoad(uMEM0, r(0, 0), 8, isa.SyncConsume)), // nothing ever stores

@@ -346,7 +346,7 @@ func (s *Sim) regWaitCause(t *Thread, reg isa.RegRef) StallCause {
 	// arbitration) is interconnect contention.
 	for i := range s.wbq {
 		wb := &s.wbq[i]
-		if wb.thread == t && wb.dst == reg {
+		if wb.thread == t.ID && wb.dst == reg {
 			if wb.readyAt <= s.cycle {
 				return CauseWriteback
 			}

@@ -15,7 +15,7 @@ type Thread struct {
 	Priority int // lower value wins arbitration; equals spawn order
 	SegIdx   int
 	Seg      *isa.ThreadCode
-	Regs     *regfile.Set
+	Regs     regfile.Set
 
 	// IP is the word at the head of the thread's issue window (the
 	// architectural frontier); len(Seg.Instrs) once the thread ran off
@@ -48,8 +48,9 @@ type Thread struct {
 	// stalled caches "no unissued operation in the window is ready":
 	// issue arbitration skips the thread until an event that can change
 	// its readiness clears the flag — a register writeback, a
-	// memory completion, a frontier move, or any thread halting (halts
-	// free a thread slot, which is what a blocked fork waits on).
+	// memory completion, a frontier move, or any thread halting, whether
+	// its halt issued or it ran off the end of its code (halts free a
+	// thread slot, which is what a blocked fork waits on).
 	// Readiness depends on nothing else, so skipping a stalled thread
 	// cannot change any arbitration outcome.
 	stalled bool
