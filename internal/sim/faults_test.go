@@ -10,6 +10,7 @@ import (
 	"pcoup/internal/isa"
 	"pcoup/internal/machine"
 	"pcoup/internal/memsys"
+	"pcoup/internal/regfile"
 )
 
 // pingPong builds a straight-line two-thread program that bounces
@@ -394,6 +395,14 @@ func TestRestoreRejectsUnreachableStates(t *testing.T) {
 			}
 			t.Fatal("head word has no empty slot")
 		}, "empty slot"},
+		// Register files hold only the registers a thread's segment
+		// names; no run touches any other.
+		{"regs-beyond-segment", func(ck *Checkpoint) {
+			ck.Threads[0].Regs[0] = regfile.FileState{Vals: make([]isa.Value, 1000), Valid: make([]bool, 1000), Peak: 1000}
+		}, "regfile"},
+		{"writeback-beyond-segment", func(ck *Checkpoint) {
+			ck.Writebacks = append(ck.Writebacks, wbState{Thread: 0, Dst: r(0, 999), ReadyAt: ck.Cycle + 1, Seq: ck.WbSeq + 1})
+		}, "not one of thread 0's"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var bad Checkpoint
