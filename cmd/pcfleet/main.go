@@ -9,7 +9,8 @@
 // submission shares one unlimited tenant, so cells run in arrival
 // order. With -tenants, submitters authenticate by API key,
 // interactive-class cells preempt batch backlogs, and per-tenant quotas
-// return 429 + Retry-After.
+// return 429 + Retry-After. Like pcserved, the gateway keeps every
+// unfinished job and the 1024 most recently finished ones.
 // See docs/ARCHITECTURE.md (fleet layer).
 //
 // Usage:

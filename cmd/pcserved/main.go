@@ -8,6 +8,12 @@
 //
 //	pcserved -addr :8091 -cache-file pcserved.cache.json
 //
+// Memory stays bounded however many jobs run: the daemon keeps every
+// unfinished job and the 1024 most recently finished ones (an older
+// job's ID answers 404 like an unknown one, and its result stays in the
+// cache under its content key), and the cache holds at most
+// -cache-max-bytes of payload, 256 MiB by default.
+//
 // SIGINT/SIGTERM trigger a graceful shutdown: new submissions are
 // refused, queued and running jobs drain (bounded by -drain-timeout),
 // the cache is persisted, and open HTTP requests get -drain-timeout
@@ -34,7 +40,7 @@ func main() {
 	queueCap := flag.Int("queue", 256, "job queue capacity")
 	cacheFile := flag.String("cache-file", "", "persist the result cache to this file across restarts")
 	cacheMaxEntries := flag.Int("cache-max-entries", 0, "evict least-recently-used cache entries beyond this count (0: unbounded)")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this many payload bytes (0: unbounded)")
+	cacheMaxBytes := flag.Int64("cache-max-bytes", service.DefaultCacheMaxBytes, "evict least-recently-used cache entries beyond this many payload bytes (negative: unbounded)")
 	journalFile := flag.String("journal", "", "write-ahead job journal: a daemon killed mid-job resumes interrupted jobs on restart")
 	retryBudget := flag.Int("retry-budget", 3, "max re-executions of a journal-recovered job before it is failed")
 	retryBackoff := flag.Duration("retry-backoff", time.Second, "base backoff before re-running a repeatedly interrupted job (doubles per interruption)")

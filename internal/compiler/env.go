@@ -75,6 +75,10 @@ type env struct {
 
 	// units holds the scheduler's unit tables, built once per build.
 	units *unitTables
+
+	// aliasProbes counts the globals cellAlias has looked at (tests
+	// check that it grows as the log of the globals).
+	aliasProbes int
 }
 
 // dataBase is the first address assigned to globals (address 0 is

@@ -83,6 +83,74 @@ func TestScheduleLinearGrowth(t *testing.T) {
 	}
 }
 
+// aliasSource is a program of g one-word globals whose main forks f
+// threads, each storing to its own global, and joins them. Every fork
+// and its join address a hidden completion cell by constant address.
+func aliasSource(g, f int) string {
+	var b strings.Builder
+	b.WriteString("(program a")
+	for i := 0; i < g; i++ {
+		fmt.Fprintf(&b, " (global g%d (array int 1))", i)
+	}
+	b.WriteString(" (def (main)")
+	for i := 0; i < f; i++ {
+		fmt.Fprintf(&b, " (fork (aset g%d 0 1))", i%g)
+	}
+	b.WriteString(" (join)))")
+	return b.String()
+}
+
+// TestCellAliasLogGrowth: naming the owner of a constant address looks
+// at O(log globals) globals. Doubling both the globals and the
+// constant-address operations at most about doubles the globals looked
+// at; a scan of every global would quadruple them.
+func TestCellAliasLogGrowth(t *testing.T) {
+	prev := 0
+	for _, n := range []int{500, 1000, 2000} {
+		forms, err := sexpr.Parse(aliasSource(n, n/10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := lowerForms(forms, machine.Baseline(), Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d globals, %d forks: %d globals looked at", n, n/10, e.aliasProbes)
+		if prev > 0 {
+			if r := float64(e.aliasProbes) / float64(prev); r > 2.5 {
+				t.Errorf("%d globals: globals looked at grew %.2fx on doubling (%d -> %d)", n, r, prev, e.aliasProbes)
+			}
+		}
+		prev = e.aliasProbes
+	}
+}
+
+// TestCellAliasOwner: cellAlias names the global holding each address,
+// hidden cells included, and none for an address outside every global.
+func TestCellAliasOwner(t *testing.T) {
+	forms, err := sexpr.Parse("(program o (global a (array int 3)) (global b int) (global c (array float 5))" +
+		" (def (main) (fork (aset a 0 1)) (forall (i 0 2) (aset c i 1.0)) (join)))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := lowerForms(forms, machine.Baseline(), Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for addr := int64(0); addr < e.nextAddr+2; addr++ {
+		want := ""
+		for _, name := range e.globalOrder {
+			if g := e.globals[name]; addr >= g.addr && addr < g.addr+g.size {
+				want = name
+				break
+			}
+		}
+		if got := e.cellAlias(addr); got != want {
+			t.Errorf("cellAlias(%d) = %q, want %q", addr, got, want)
+		}
+	}
+}
+
 // TestScheduleStopsAtDeadline: a block far longer than the deadline
 // check stride stops at its first check once the deadline has passed,
 // with a DeadlineError, and leaves the scheduler's per-vreg scratch

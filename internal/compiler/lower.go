@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"sort"
 
 	"pcoup/internal/isa"
 	"pcoup/internal/sexpr"
@@ -80,10 +81,18 @@ func (e *env) lowerSegment(w *segWork) (*Fn, error) {
 
 // cellAlias returns the global name owning addr (hidden sync cells get
 // their own alias so the scheduler orders accesses conservatively).
+// Globals take consecutive addresses in declaration order, so their end
+// addresses never decrease: the owner is the first global that ends
+// past addr, if it starts at or before addr. A size-0 global ends where
+// it starts and so is never the owner.
 func (e *env) cellAlias(addr int64) string {
-	for _, name := range e.globalOrder {
-		g := e.globals[name]
-		if addr >= g.addr && addr < g.addr+g.size {
+	i := sort.Search(len(e.globalOrder), func(i int) bool {
+		e.aliasProbes++
+		g := e.globals[e.globalOrder[i]]
+		return g.addr+g.size > addr
+	})
+	if i < len(e.globalOrder) {
+		if g := e.globals[e.globalOrder[i]]; g.addr <= addr {
 			return g.name
 		}
 	}

@@ -250,5 +250,5 @@ func (g *Gateway) validate(spec *service.JobSpec) error {
 	return spec.CheckShape()
 }
 
-// List snapshots all gateway jobs in submission order.
+// List snapshots the gateway jobs its table holds, in submission order.
 func (g *Gateway) List() []service.JobView { return g.jobs.List() }

@@ -12,7 +12,7 @@ import (
 //
 //	POST   /v1/jobs             submit a job (202 + job view; streaming POST: 200 + NDJSON stream)
 //	POST   /v1/programs         compile-and-run an untrusted source program (202; 422 on rejection)
-//	GET    /v1/jobs             list gateway jobs
+//	GET    /v1/jobs             list held gateway jobs: every queued and running one, the newest finished ones
 //	GET    /v1/jobs/{id}        job status; includes result when done
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/jobs/{id}/stream NDJSON: per-cell results as they finish

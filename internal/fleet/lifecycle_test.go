@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,7 +78,10 @@ func TestCancelBeforeRunReleasesQueuedCells(t *testing.T) {
 // every refusal answer alike, and the streams of cold jobs, streaming
 // POSTs included, are byte-identical. Preset "p" is a pcserved preset at
 // the first door and a backend-only preset (PresetNames) at the second.
+// Each door keeps four finished jobs, so its fifth drops the first, whose
+// ID then answers every job route exactly as an unknown ID does.
 func TestFrontDoorParity(t *testing.T) {
+	const retain = 4
 	presets := service.Options{Workers: 2, Presets: map[string]*machine.Config{"p": machine.Mix(2, 1)}}
 	doors := []struct {
 		name string
@@ -85,11 +89,13 @@ func TestFrontDoorParity(t *testing.T) {
 	}{
 		{"pcserved", func(t *testing.T) (string, func(context.Context) error) {
 			url, srv, _ := startBackend(t, presets)
+			srv.Jobs().Retain = retain
 			return url, srv.Shutdown
 		}},
 		{"pcfleet", func(t *testing.T) (string, func(context.Context) error) {
 			url, _, _ := startBackend(t, presets)
 			gw, ts := startGateway(t, []string{url}, func(o *Options) { o.PresetNames = []string{"p"} })
+			gw.jobs.Retain = retain
 			return ts.URL, gw.Shutdown
 		}},
 	}
@@ -184,6 +190,21 @@ func TestFrontDoorParity(t *testing.T) {
 				transcript[door.name] = append(transcript[door.name], body.Error+"\n"...)
 			}
 
+			// A fifth finished job drops the first: its ID answers as an
+			// unknown one does, on every job route.
+			id = submitJob(t, base, cell).ID
+			ids = append(ids, id)
+			waitJob(t, base, id)
+			for _, route := range []struct{ method, suffix string }{{"GET", ""}, {"DELETE", ""}, {"GET", "/stream"}} {
+				dropped := rawCall(t, route.method, base+"/v1/jobs/"+ids[0]+route.suffix)
+				unknown := rawCall(t, route.method, base+"/v1/jobs/no-such-job"+route.suffix)
+				if !bytes.Equal(dropped, unknown) || !bytes.HasPrefix(dropped, []byte("404 ")) {
+					t.Fatalf("%s %s of a dropped job answers %q, an unknown job %q", route.method, route.suffix, dropped, unknown)
+				}
+				transcript[door.name] = append(transcript[door.name], dropped...)
+			}
+			ids = ids[1:]
+
 			for _, r := range refusals {
 				resp, data := postRaw(t, base+r.route, "", r.body)
 				if resp.StatusCode != r.status {
@@ -216,6 +237,92 @@ func TestFrontDoorParity(t *testing.T) {
 	}
 	if a, b := transcript["pcserved"], transcript["pcfleet"]; !bytes.Equal(a, b) {
 		t.Fatalf("front doors differ\n--- pcserved\n%s--- pcfleet\n%s", a, b)
+	}
+}
+
+// rawCall sends one bodiless request and returns its status, content
+// type and body as one transcript line.
+func rawCall(t *testing.T, method, url string) []byte {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Appendf(nil, "%d %s %s", resp.StatusCode, resp.Header.Get("Content-Type"), data)
+}
+
+// TestGatewayRetainsNewestFinished pushes five times Retain jobs through
+// a gateway one at a time. Its table then holds only the Retain newest,
+// pcfleet_jobs_current agrees, a dropped ID answers as an unknown ID
+// does, and a stream opened on the first job before it was dropped still
+// completes byte for byte like the backend's stream of the same cell.
+func TestGatewayRetainsNewestFinished(t *testing.T) {
+	const retain = 4
+	gate := make(chan struct{})
+	var once sync.Once
+	url, srv, _ := startBackend(t, service.Options{Workers: 1, ExecHook: func(*service.Job) { once.Do(func() { <-gate }) }})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // runs before the backend's shutdown
+	srv.Jobs().Retain = retain
+	gw, ts := startGateway(t, []string{url}, nil)
+	gw.jobs.Retain = retain
+	cell := service.JobSpec{Cell: &service.CellSpec{Bench: "matrix", Mode: "SEQ"}}
+
+	first := submitJob(t, ts.URL, cell)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + first.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	release()
+
+	var ids []string
+	for i := 0; i < 5*retain; i++ {
+		ids = append(ids, submitJob(t, ts.URL, cell).ID)
+		if v := waitJob(t, ts.URL, ids[i]); v.State != service.JobDone {
+			t.Fatalf("job %s: %s (%s)", ids[i], v.State, v.Error)
+		}
+	}
+	list := gw.List()
+	if len(list) != retain {
+		t.Fatalf("gateway holds %d jobs, want %d", len(list), retain)
+	}
+	for i, v := range list {
+		if want := ids[len(ids)-retain+i]; v.ID != want {
+			t.Fatalf("held job %d is %s, want %s (the newest finished)", i, v.ID, want)
+		}
+	}
+	if n := len(srv.List()); n > retain {
+		t.Fatalf("backend holds %d jobs, want at most %d", n, retain)
+	}
+	if v := metricValue(t, ts.URL, `pcfleet_jobs_current{state="done"}`); v != retain {
+		t.Fatalf(`pcfleet_jobs_current{state="done"} = %v, want %d`, v, retain)
+	}
+	for _, route := range []struct{ method, suffix string }{{"GET", ""}, {"DELETE", ""}, {"GET", "/stream"}} {
+		dropped := rawCall(t, route.method, ts.URL+"/v1/jobs/"+first.ID+route.suffix)
+		unknown := rawCall(t, route.method, ts.URL+"/v1/jobs/no-such-job"+route.suffix)
+		if !bytes.Equal(dropped, unknown) || !bytes.HasPrefix(dropped, []byte("404 ")) {
+			t.Fatalf("%s %s of a dropped job answers %q, an unknown job %q", route.method, route.suffix, dropped, unknown)
+		}
+	}
+
+	stream, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := postRaw(t, url+"/v1/jobs", "application/x-ndjson", `{"cell":{"bench":"matrix","mode":"SEQ"}}`)
+	want = bytes.Replace(want, []byte(`,"cache_hit":true}`), []byte(`}`), 1)
+	if !bytes.Equal(stream, want) {
+		t.Fatalf("stream of the dropped job:\n%s\nwant the backend's cold stream:\n%s", stream, want)
 	}
 }
 

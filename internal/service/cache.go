@@ -23,7 +23,7 @@ const cacheFileVersion = 2
 //
 // The cache is bounded: when maxEntries or maxBytes is exceeded the
 // least-recently-used entries are evicted (a long-lived daemon must not
-// grow without limit). Zero limits mean unbounded.
+// grow without limit). Zero or negative limits mean unbounded.
 type Cache struct {
 	mu         sync.Mutex
 	entries    map[string]*list.Element
@@ -47,8 +47,8 @@ type cacheEntry struct {
 func NewCache() *Cache { return NewBoundedCache(0, 0) }
 
 // NewBoundedCache returns an empty cache that evicts least-recently-used
-// entries beyond maxEntries entries or maxBytes payload bytes (zero:
-// unbounded in that dimension).
+// entries beyond maxEntries entries or maxBytes payload bytes (zero or
+// negative: unbounded in that dimension).
 func NewBoundedCache(maxEntries int, maxBytes int64) *Cache {
 	return &Cache{
 		entries:    map[string]*list.Element{},

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -155,5 +156,44 @@ func TestCacheVersionMismatchStartsEmpty(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after version mismatch, want 0", c.Len())
+	}
+}
+
+// TestServerCacheByteBound: a Server built with no byte bound caps its
+// cache at DefaultCacheMaxBytes, a negative bound leaves it unbounded,
+// and the persisted file loads under the server's bound, keeping the
+// most recently used entries.
+func TestServerCacheByteBound(t *testing.T) {
+	if got := New(Options{}).cache.maxBytes; got != DefaultCacheMaxBytes {
+		t.Fatalf("default byte bound %d, want %d", got, DefaultCacheMaxBytes)
+	}
+	unbounded := New(Options{CacheMaxBytes: -1}).cache
+	for i := 0; i < 64; i++ {
+		unbounded.Put(fmt.Sprint(i), make([]byte, 1<<10))
+	}
+	if unbounded.Len() != 64 || unbounded.Evictions() != 0 {
+		t.Fatalf("unbounded cache holds %d entries after %d evictions, want 64 and 0", unbounded.Len(), unbounded.Evictions())
+	}
+
+	path := filepath.Join(t.TempDir(), "cache.json")
+	c := NewCache()
+	for _, k := range []string{"a", "b", "c", "d"} {
+		c.Put(k, []byte("12345678"))
+	}
+	if err := c.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{CacheFile: path, CacheMaxBytes: 16})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	if srv.cache.Len() != 2 || srv.cache.Bytes() != 16 {
+		t.Fatalf("loaded %d entries, %d bytes under a 16-byte bound; want 2 and 16", srv.cache.Len(), srv.cache.Bytes())
+	}
+	for _, k := range []string{"c", "d"} {
+		if _, ok := srv.cache.Peek(k); !ok {
+			t.Fatalf("recent entry %s dropped by the bounded load", k)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 //
 //	POST   /v1/jobs             submit a job (202 + job view; streaming POST: 200 + NDJSON stream)
 //	POST   /v1/programs         compile-and-run an untrusted source program (202 + job view; 422 on limit/syntax rejection)
-//	GET    /v1/jobs             list jobs
+//	GET    /v1/jobs             list held jobs: every queued and running one, the newest finished ones
 //	GET    /v1/jobs/{id}        job status; includes result when done
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/jobs/{id}/stream NDJSON: per-cell results as they finish, then {"state":...,"error":...,"cache_hit":true}
@@ -31,6 +31,13 @@ import (
 // their codes (400, 413, 422, 503). The status line omits error and
 // cache_hit when unset. Both routes are the JobTable's, shared with the
 // fleet gateway.
+//
+// The table keeps only the newest finished jobs (JobTable.Retain). Once
+// a finished job is dropped, GET, DELETE and stream on its ID answer
+// exactly what an unknown ID answers (404), and its result stays under
+// its content key in the cache. A stream already open on it completes.
+// The result cache is bounded too: by default to DefaultCacheMaxBytes
+// of payload (pcserved -cache-max-bytes).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.jobs.Routes(mux, func(h http.HandlerFunc) http.HandlerFunc { return h },

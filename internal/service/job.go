@@ -289,7 +289,7 @@ type Job struct {
 	spec     JobSpec
 	tenant   string          // submitting tenant ("" when unattributed)
 	cfg      *machine.Config // resolved from spec; nil = driver default
-	state    JobState
+	state    JobState        // changes under the table's mu as well as mu
 	errMsg   string
 	result   json.RawMessage
 	cells    []json.RawMessage // per-cell payloads (sweep jobs)
@@ -363,13 +363,14 @@ func (j *Job) SetHit(hit bool) {
 	j.hit = hit
 }
 
-// finish moves the job to a terminal state exactly once, reporting
-// whether this call did.
-func (j *Job) finish(state JobState, result json.RawMessage, errMsg string, now time.Time) bool {
+// finish moves the job to a terminal state exactly once, reporting the
+// state it left and whether this call did.
+func (j *Job) finish(state JobState, result json.RawMessage, errMsg string, now time.Time) (JobState, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
+	from := j.state
+	if from.Terminal() {
+		return from, false
 	}
 	j.state = state
 	j.result = result
@@ -378,7 +379,7 @@ func (j *Job) finish(state JobState, result json.RawMessage, errMsg string, now 
 	j.lowered = nil
 	j.notifyLocked()
 	close(j.done)
-	return true
+	return from, true
 }
 
 // JobView is the wire representation of a job.
@@ -430,9 +431,21 @@ func (j *Job) View(withResult bool) JobView {
 	return v
 }
 
+// DefaultRetain is the number of finished jobs a JobTable keeps when its
+// Retain is zero. It covers a client polling every 150 ms at up to about
+// 6,800 finishes per second.
+const DefaultRetain = 1024
+
 // JobTable is a daemon's job table and the lifecycle transitions of its
 // jobs: submission, begin-running, cancellation and finish. pcserved and
 // pcfleet each keep one; what a job executes stays with the daemon.
+//
+// The table holds every queued and running job and the Retain most
+// recently finished ones. Finishing a job past that bound drops the
+// oldest finished job: its ID then answers as an unknown ID does, while
+// its result stays in the cache under its content key. The table keeps
+// one count per state, updated by its own transitions, so Counts never
+// walks the jobs.
 type JobTable struct {
 	// Prefix starts every job ID ("j-" for pcserved, "f-" for pcfleet).
 	Prefix string
@@ -440,15 +453,26 @@ type JobTable struct {
 	// views still report it): a gateway's warm stream must stay
 	// byte-identical to a backend's cold one.
 	QuietHits bool
+	// Retain bounds the finished jobs the table keeps (0: DefaultRetain).
+	// Set it before the table is used.
+	Retain int
 	// Transitions counts every state change (the daemon's *_jobs_total).
 	Transitions *obs.CounterVec
 	// Finished, when set, runs once per job just after it reaches a
 	// terminal state.
 	Finished func(id string, state JobState)
 
-	mu     sync.Mutex
-	byID   map[string]*Job
-	order  []*Job
+	mu   sync.Mutex
+	byID map[string]*Job
+	// order lists the jobs in submission order. A dropped job stays in
+	// it, absent from byID, until dead reaches half its length and
+	// compactLocked sweeps them out.
+	order []*Job
+	dead  int
+	// finished holds the finished jobs still in the table, oldest first.
+	finished []*Job
+	// counts is the number of held jobs in each state (no zero entries).
+	counts map[JobState]int
 	nextID int
 }
 
@@ -489,10 +513,56 @@ func (t *JobTable) restore(job *Job) {
 func (t *JobTable) insertLocked(job *Job) {
 	if t.byID == nil {
 		t.byID = map[string]*Job{}
+		t.counts = map[JobState]int{}
 	}
 	t.byID[job.id] = job
 	t.order = append(t.order, job)
+	t.counts[JobQueued]++
 	t.Transitions.Inc(string(JobQueued))
+}
+
+// moveLocked moves one job's count from state from to state to ("" for
+// a job leaving the table).
+func (t *JobTable) moveLocked(from, to JobState) {
+	if t.counts[from]--; t.counts[from] == 0 {
+		delete(t.counts, from)
+	}
+	if to != "" {
+		t.counts[to]++
+	}
+}
+
+// retireLocked queues a newly finished job for dropping and drops the
+// oldest finished jobs beyond Retain.
+func (t *JobTable) retireLocked(job *Job) {
+	t.finished = append(t.finished, job)
+	retain := t.Retain
+	if retain <= 0 {
+		retain = DefaultRetain
+	}
+	for len(t.finished) > retain {
+		old := t.finished[0]
+		t.finished[0] = nil
+		t.finished = t.finished[1:]
+		delete(t.byID, old.id)
+		t.moveLocked(old.state, "")
+		if t.dead++; t.dead > len(t.order)/2 {
+			t.compactLocked()
+		}
+	}
+}
+
+// compactLocked sweeps dropped jobs out of order.
+func (t *JobTable) compactLocked() {
+	live := t.order[:0]
+	for _, j := range t.order {
+		if t.byID[j.id] == j {
+			live = append(live, j)
+		}
+	}
+	clear(t.order[len(live):])
+	t.order = live
+	t.dead = 0
 }
 
 // Get returns a job by id.
@@ -506,10 +576,15 @@ func (t *JobTable) Get(id string) (*Job, error) {
 	return job, nil
 }
 
-// List snapshots all jobs in submission order.
+// List snapshots the held jobs in submission order.
 func (t *JobTable) List() []JobView {
 	t.mu.Lock()
-	jobs := append([]*Job(nil), t.order...)
+	jobs := make([]*Job, 0, len(t.byID))
+	for _, j := range t.order {
+		if t.byID[j.id] == j {
+			jobs = append(jobs, j)
+		}
+	}
 	t.mu.Unlock()
 	out := make([]JobView, len(jobs))
 	for i, j := range jobs {
@@ -518,15 +593,13 @@ func (t *JobTable) List() []JobView {
 	return out
 }
 
-// Counts returns the number of jobs in each state.
+// Counts returns the number of held jobs in each state.
 func (t *JobTable) Counts() map[string]int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	byState := map[string]int{}
-	for _, j := range t.order {
-		j.mu.Lock()
-		byState[string(j.state)]++
-		j.mu.Unlock()
+	byState := make(map[string]int, len(t.counts))
+	for state, n := range t.counts {
+		byState[string(state)] = n
 	}
 	return byState
 }
@@ -537,9 +610,14 @@ func (t *JobTable) Counts() map[string]int {
 // releases whatever it reserved for it. A job cancelled since it was
 // queued has cancel called at once.
 func (t *JobTable) Begin(job *Job, cancel context.CancelFunc) bool {
+	// A job changes state only under the table's lock as well as its
+	// own, so the counts move with it.
+	t.mu.Lock()
 	job.mu.Lock()
-	if job.state.Terminal() {
+	from := job.state
+	if from.Terminal() {
 		job.mu.Unlock()
+		t.mu.Unlock()
 		return false
 	}
 	job.state = JobRunning
@@ -548,6 +626,8 @@ func (t *JobTable) Begin(job *Job, cancel context.CancelFunc) bool {
 	cancelled := job.cancelled
 	job.notifyLocked()
 	job.mu.Unlock()
+	t.moveLocked(from, JobRunning)
+	t.mu.Unlock()
 	t.Transitions.Inc(string(JobRunning))
 	if cancelled {
 		cancel()
@@ -557,30 +637,57 @@ func (t *JobTable) Begin(job *Job, cancel context.CancelFunc) bool {
 
 // Cancel requests cancellation of a job. A queued job finishes
 // cancelled at once; a running job has its context cancelled and its
-// executor finishes it. Cancelling a finished job is a no-op.
+// executor finishes it. Cancelling a finished job is a no-op. The check
+// and the finish of a queued job hold the table's lock, so Begin cannot
+// start the job between them.
 func (t *JobTable) Cancel(id string) (*Job, error) {
-	job, err := t.Get(id)
-	if err != nil {
-		return nil, err
+	t.mu.Lock()
+	job, ok := t.byID[id]
+	if !ok {
+		t.mu.Unlock()
+		return nil, ErrNotFound
 	}
 	job.mu.Lock()
 	job.cancelled = true
 	state, cancel := job.state, job.cancel
 	job.mu.Unlock()
-	switch state {
-	case JobQueued:
-		t.Finish(job, JobCancelled, nil, "cancelled before execution")
-	case JobRunning:
+	finished := state == JobQueued && t.finishLocked(job, JobCancelled, nil, "cancelled before execution")
+	t.mu.Unlock()
+	switch {
+	case finished:
+		t.afterFinish(job, JobCancelled)
+	case state == JobRunning:
 		cancel()
 	}
 	return job, nil
 }
 
 // Finish moves a job to a terminal state; only the first call counts.
+// The job joins the finished jobs the table retains, which may drop the
+// oldest of them.
 func (t *JobTable) Finish(job *Job, state JobState, result json.RawMessage, errMsg string) {
-	if !job.finish(state, result, errMsg, time.Now()) {
-		return
+	t.mu.Lock()
+	ok := t.finishLocked(job, state, result, errMsg)
+	t.mu.Unlock()
+	if ok {
+		t.afterFinish(job, state)
 	}
+}
+
+// finishLocked is Finish's transition, reporting whether this call made
+// it; callers hold t.mu and then call afterFinish.
+func (t *JobTable) finishLocked(job *Job, state JobState, result json.RawMessage, errMsg string) bool {
+	from, ok := job.finish(state, result, errMsg, time.Now())
+	if ok {
+		t.moveLocked(from, state)
+		t.retireLocked(job)
+	}
+	return ok
+}
+
+// afterFinish counts a job's terminal transition and runs the Finished
+// hook, outside the table's lock.
+func (t *JobTable) afterFinish(job *Job, state JobState) {
 	t.Transitions.Inc(string(state))
 	if t.Finished != nil {
 		t.Finished(job.id, state)

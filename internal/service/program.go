@@ -121,14 +121,12 @@ func (p *ProgramSpec) compilerOptions() compiler.Options {
 // canonicalSourceSHA hashes the re-rendered forms of a parsed source, so
 // formatting and comments do not fragment the cache: two submissions of
 // the same program share one cache entry and one fleet routing home.
-func canonicalSourceSHA(forms []*sexpr.Node) (sum [sha256.Size]byte) {
-	h := sha256.New()
+func canonicalSourceSHA(forms []*sexpr.Node) [sha256.Size]byte {
+	var text []byte
 	for _, f := range forms {
-		h.Write([]byte(f.String()))
-		h.Write([]byte{'\n'})
+		text = append(f.AppendText(text), '\n')
 	}
-	h.Sum(sum[:0])
-	return sum
+	return sha256.Sum256(text)
 }
 
 // errProgramNotNormalized is ProgramContentKey's answer for a spec that

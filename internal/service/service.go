@@ -59,7 +59,7 @@ type Options struct {
 	// the least-recently-used entries are evicted (0: unbounded).
 	CacheMaxEntries int
 	// CacheMaxBytes bounds the result cache's payload bytes (0:
-	// unbounded).
+	// DefaultCacheMaxBytes; negative: unbounded).
 	CacheMaxBytes int64
 	// JournalFile, when set, enables the write-ahead job journal: every
 	// accepted job is durable, and a daemon killed mid-job resumes the
@@ -85,6 +85,11 @@ type Options struct {
 	// panic.
 	ExecHook func(job *Job)
 }
+
+// DefaultCacheMaxBytes is the result cache's payload bound when
+// Options.CacheMaxBytes is zero: a long-lived daemon's cache must not
+// grow without limit.
+const DefaultCacheMaxBytes = 256 << 20
 
 // Server owns the queue, the pool, the cache, and the job table.
 type Server struct {
@@ -133,6 +138,9 @@ func New(opts Options) *Server {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = time.Second
 	}
+	if opts.CacheMaxBytes == 0 {
+		opts.CacheMaxBytes = DefaultCacheMaxBytes
+	}
 	presets := map[string]*machine.Config{"baseline": machine.Baseline()}
 	for name, cfg := range opts.Presets {
 		presets[name] = cfg
@@ -164,6 +172,9 @@ func New(opts Options) *Server {
 
 // Cache exposes the result cache (tests and tooling).
 func (s *Server) Cache() *Cache { return s.cache }
+
+// Jobs exposes the job table (tests and tooling).
+func (s *Server) Jobs() *JobTable { return s.jobs }
 
 // Start loads the persisted cache (if configured), replays the job
 // journal (resubmitting work interrupted by a previous crash), and
@@ -329,7 +340,7 @@ func (s *Server) SubmitWithTenant(spec JobSpec, tenant string) (*Job, error) {
 	return job, nil
 }
 
-// List snapshots all jobs in submission order.
+// List snapshots the held jobs in submission order.
 func (s *Server) List() []JobView { return s.jobs.List() }
 
 // worker drains the queue until Shutdown closes it.

@@ -5,9 +5,9 @@
 package sexpr
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode"
 )
 
@@ -66,52 +66,50 @@ func (n *Node) Head() string {
 func (n *Node) Pos() string { return fmt.Sprintf("%d:%d", n.Line, n.Col) }
 
 // String renders the node back to source form.
-func (n *Node) String() string {
-	var b strings.Builder
-	n.write(&b)
-	return b.String()
-}
+func (n *Node) String() string { return string(n.AppendText(nil)) }
 
-func (n *Node) write(b *strings.Builder) {
+// AppendText appends the node's source form to dst and returns the
+// extended buffer.
+func (n *Node) AppendText(dst []byte) []byte {
 	switch n.Kind {
 	case KSymbol:
-		b.WriteString(n.Sym)
+		dst = append(dst, n.Sym...)
 	case KInt:
-		b.WriteString(strconv.FormatInt(n.Int, 10))
+		dst = strconv.AppendInt(dst, n.Int, 10)
 	case KFloat:
-		s := strconv.FormatFloat(n.Float, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, n.Float, 'g', -1, 64)
+		if !bytes.ContainsAny(dst[start:], ".eE") {
+			dst = append(dst, ".0"...)
 		}
-		b.WriteString(s)
 	case KString:
 		// Escape only what the reader unescapes, so every string reads
 		// back as itself.
-		b.WriteByte('"')
+		dst = append(dst, '"')
 		for i := 0; i < len(n.Str); i++ {
 			switch c := n.Str[i]; c {
 			case '"', '\\':
-				b.WriteByte('\\')
-				b.WriteByte(c)
+				dst = append(dst, '\\', c)
 			case '\n':
-				b.WriteString(`\n`)
+				dst = append(dst, `\n`...)
 			case '\t':
-				b.WriteString(`\t`)
+				dst = append(dst, `\t`...)
 			default:
-				b.WriteByte(c)
+				dst = append(dst, c)
 			}
 		}
-		b.WriteByte('"')
+		dst = append(dst, '"')
 	case KList:
-		b.WriteByte('(')
+		dst = append(dst, '(')
 		for i, c := range n.List {
 			if i > 0 {
-				b.WriteByte(' ')
+				dst = append(dst, ' ')
 			}
-			c.write(b)
+			dst = c.AppendText(dst)
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	}
+	return dst
 }
 
 // SyntaxError reports a reader failure with position information.
@@ -172,14 +170,14 @@ type lexer struct {
 	slab []Node
 	kids []*Node
 	ptrs []*Node
-	// chunk is the size of the next slab or ptrs allocation; it doubles
-	// up to maxChunk.
-	chunk int
 }
 
+// A slab or ptrs chunk holds about one entry per bytesPerNode bytes of
+// the source still unread, within [minChunk, maxChunk].
 const (
-	minChunk = 32
-	maxChunk = 512
+	bytesPerNode = 3
+	minChunk     = 32
+	maxChunk     = 512
 )
 
 func (l *lexer) limitErr(what string, limit int) error {
@@ -190,12 +188,11 @@ func (l *lexer) errf(format string, args ...any) error {
 	return &SyntaxError{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// grow returns the next allocation size for a request of at least n.
+// grow returns the next allocation size for a request of at least n,
+// sized from the source still unread: a small program gets small
+// chunks, a large one full ones.
 func (l *lexer) grow(n int) int {
-	size := l.chunk
-	if l.chunk < maxChunk {
-		l.chunk *= 2
-	}
+	size := min(max((len(l.src)-l.pos)/bytesPerNode, minChunk), maxChunk)
 	return max(size, n)
 }
 
@@ -296,7 +293,7 @@ func ParseLimits(src string, lim Limits) ([]*Node, error) {
 	if lim.MaxBytes > 0 && len(src) > lim.MaxBytes {
 		return nil, &LimitError{What: "bytes", Limit: lim.MaxBytes}
 	}
-	l := &lexer{src: src, line: 1, col: 1, lim: lim, chunk: minChunk}
+	l := &lexer{src: src, line: 1, col: 1, lim: lim}
 	for {
 		l.skipSpace()
 		if _, ok := l.peek(); !ok {
