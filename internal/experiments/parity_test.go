@@ -43,6 +43,8 @@ func parityConfigs() []struct {
 		return c
 	}
 	mem2 := machine.Baseline().WithMemory(machine.Mem2)
+	roundRobin := machine.Baseline()
+	roundRobin.Arbitration = machine.RoundRobinArbitration
 	return []struct {
 		name string
 		cfg  *machine.Config
@@ -55,6 +57,10 @@ func parityConfigs() []struct {
 			MemDropRate: 0.05, MemDelayRate: 0.05, MemDelayMax: 8,
 			PortOutageRate: 0.02, PortOutageCycles: 2,
 		})},
+		{"UnitOutages", machine.Baseline().WithFaults(faults.Model{
+			Seed: 13, UnitOutageRate: 0.02, UnitOutageCycles: 3,
+		})},
+		{"RoundRobin", roundRobin},
 		{"DynPrefetch", machine.Baseline().WithDynamic(machine.DynPrefetch)},
 		{"DynOoO@Mem2", mem2.WithDynamic(machine.DynOoO)},
 		{"DynAll@Mem2", mem2.WithDynamic(machine.DynAll)},
