@@ -450,12 +450,14 @@ func (s *Sim) Restore(ck *Checkpoint) error {
 		if (ts.Stalls != nil) != (ck.Attrib != nil) {
 			return fmt.Errorf("sim: checkpoint thread %d and run disagree on stall attribution", ts.ID)
 		}
+		regs := s.segRegs(ts.SegIdx)
 		t := &Thread{
 			ID: ts.ID, Priority: ts.Priority, SegIdx: ts.SegIdx,
-			Seg:    s.prog.Segments[ts.SegIdx],
-			Regs:   regfile.NewSet(s.segRegs(ts.SegIdx)),
-			IP:     ts.IP,
-			Halted: ts.Halted, SpawnAt: ts.SpawnAt, HaltAt: ts.HaltAt,
+			Seg:     s.prog.Segments[ts.SegIdx],
+			Regs:    regfile.NewSet(regs.sizes),
+			regBase: regs.bases,
+			IP:      ts.IP,
+			Halted:  ts.Halted, SpawnAt: ts.SpawnAt, HaltAt: ts.HaltAt,
 			OpsIssued: ts.OpsIssued, lastIssue: ts.LastIssue,
 			storesOut: ts.StoresOut, syncLoadsOut: ts.SyncLoadsOut,
 			stalls: cloneBreakdown(ts.Stalls),

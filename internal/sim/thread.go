@@ -16,6 +16,9 @@ type Thread struct {
 	SegIdx   int
 	Seg      *isa.ThreadCode
 	Regs     regfile.Set
+	// regBase is the flat index of each cluster's register 0 in Regs
+	// (regfile.AppendBases), shared by every thread of the segment.
+	regBase []int
 
 	// IP is the word at the head of the thread's issue window (the
 	// architectural frontier); len(Seg.Instrs) once the thread ran off
