@@ -176,6 +176,7 @@ func (g *Gateway) Submit(spec service.JobSpec) (*service.Job, error) {
 // launches the job's execution. A *tenant.QuotaError return maps to
 // HTTP 429 + Retry-After.
 func (g *Gateway) SubmitAs(spec service.JobSpec, ten *tenant.Tenant) (*service.Job, error) {
+	spec = spec.Clone()
 	if err := g.validate(&spec); err != nil {
 		return nil, err
 	}

@@ -357,3 +357,56 @@ func mustJSON(t *testing.T, v any) []byte {
 	}
 	return data
 }
+
+// TestConcurrentSubmitsShareSpecs: callers may share one *CellSpec, one
+// *SweepSpec and one *ProgramSpec across concurrent submissions to
+// either daemon. Each submission normalizes its own copy, so under -race
+// no write to the shared specs shows, and the caller's values stay as
+// written: a lower-case mode, a sweep with its defaults unfilled, a
+// program with no mode.
+func TestConcurrentSubmitsShareSpecs(t *testing.T) {
+	url, srv, _ := startBackend(t, service.Options{Workers: 2})
+	gw, _ := startGateway(t, []string{url}, nil)
+	cell := &service.CellSpec{Bench: "matrix", Mode: "seq"}
+	sweep := &service.SweepSpec{Benches: []string{"matrix"}, MinIU: 1, MaxIU: 1}
+	prog := &service.ProgramSpec{Source: fleetTestProgram}
+	specs := []service.JobSpec{{Cell: cell}, {Sweep: sweep}, {Program: prog}}
+	submit := []func(service.JobSpec) (*service.Job, error){srv.Submit, gw.Submit}
+
+	const rounds = 3
+	jobs := make(chan *service.Job, rounds*len(specs)*len(submit))
+	var wg sync.WaitGroup
+	for i := 0; i < rounds; i++ {
+		for _, spec := range specs {
+			for _, sub := range submit {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					job, err := sub(spec)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					jobs <- job
+				}()
+			}
+		}
+	}
+	wg.Wait()
+	close(jobs)
+	for job := range jobs {
+		<-job.Done()
+		if v := job.View(false); v.State != service.JobDone {
+			t.Errorf("job %s: %s (%s)", v.ID, v.State, v.Error)
+		}
+	}
+	if *cell != (service.CellSpec{Bench: "matrix", Mode: "seq"}) {
+		t.Errorf("shared cell spec became %+v", *cell)
+	}
+	if sweep.Mode != "" || sweep.MinFPU != 0 || sweep.MaxFPU != 0 {
+		t.Errorf("shared sweep spec became %+v", *sweep)
+	}
+	if prog.Mode != "" {
+		t.Errorf("shared program spec's mode became %q", prog.Mode)
+	}
+}

@@ -96,6 +96,29 @@ type JobSpec struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+// Clone returns spec with private copies of the Cell, Sweep and Program
+// it points to. Normalizing a spec writes through those pointers (a
+// cell's canonical mode, a sweep's defaults, a program's mode and
+// digest), so both daemons normalize a clone: a caller may reuse one
+// spec across concurrent submissions, and its values stay as written.
+// A sweep's Benches slice is shared; normalization replaces it when
+// empty and never writes its elements.
+func (spec JobSpec) Clone() JobSpec {
+	if spec.Cell != nil {
+		c := *spec.Cell
+		spec.Cell = &c
+	}
+	if spec.Sweep != nil {
+		sw := *spec.Sweep
+		spec.Sweep = &sw
+	}
+	if spec.Program != nil {
+		p := *spec.Program
+		spec.Program = &p
+	}
+	return spec
+}
+
 // Normalize validates the spec against the registry, the benchmark
 // suite, and the preset table, and fills defaults (exported for the
 // fleet gateway, which validates with the presets it knows). It returns

@@ -302,6 +302,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 // label rides into the job view, the journal, the access log, and the
 // per-tenant counters; it never changes result bytes.
 func (s *Server) SubmitWithTenant(spec JobSpec, tenant string) (*Job, error) {
+	spec = spec.Clone()
 	cfg, lowered, err := spec.normalize(s.presets)
 	if err != nil {
 		return nil, err
