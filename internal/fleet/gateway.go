@@ -72,6 +72,8 @@ type Gateway struct {
 	metrics *Metrics
 	client  *http.Client // dispatch client (no timeout: streams are long)
 	probe   *http.Client // peer-fill cache probes (bounded)
+	// presets is the one preset validate resolves itself, built once.
+	presets map[string]*machine.Config
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -106,6 +108,7 @@ func New(opts Options) (*Gateway, error) {
 		metrics:    m,
 		client:     &http.Client{Transport: tr},
 		probe:      &http.Client{Transport: tr, Timeout: 2 * time.Second},
+		presets:    map[string]*machine.Config{"baseline": machine.Baseline()},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       &service.JobTable{Prefix: "f-", QuietHits: true, Transitions: m.jobs},
@@ -241,7 +244,7 @@ func (g *Gateway) admit(ten *tenant.Tenant, n int) error {
 // checks that need no machine.
 func (g *Gateway) validate(spec *service.JobSpec) error {
 	if spec.Preset == "" || spec.Preset == "baseline" {
-		_, err := spec.Normalize(map[string]*machine.Config{"baseline": machine.Baseline()})
+		_, err := spec.Normalize(g.presets)
 		return err
 	}
 	if !slices.Contains(g.opts.PresetNames, spec.Preset) {

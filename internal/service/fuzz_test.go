@@ -83,10 +83,11 @@ const fuzzCompileIROps = 150_000
 // program of at most fuzzCompileIROps IR operations, builds the program
 // its check lowered, as the worker does with a parked one.
 func checkNormalize(t *testing.T, spec JobSpec, presets map[string]*machine.Config) {
-	cfg, lowered, err := spec.normalize(presets)
+	cfg, work, err := spec.normalize(presets)
 	if err != nil || spec.Program == nil {
 		return
 	}
+	lowered := work.lowered
 	if lowered == nil {
 		t.Fatalf("accepted program was not lowered\nspec: %+v", spec)
 	}

@@ -7,12 +7,13 @@ package sexpr
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"unicode"
 )
 
 // Kind discriminates Node variants.
-type Kind int
+type Kind uint8
 
 const (
 	// KSymbol is an identifier such as foo or +.
@@ -27,39 +28,61 @@ const (
 	KList
 )
 
-// Node is one element of the parse tree.
+// Node is one element of the parse tree. It takes 64 bytes: a list's
+// elements, one text field shared by symbols and strings, one numeric
+// word shared by integer and float literals, and a 32-bit position.
 type Node struct {
-	Kind  Kind
-	Sym   string
-	Int   int64
-	Float float64
-	Str   string
-	List  []*Node
-	Line  int
-	Col   int
+	// List holds a list's elements.
+	List []*Node
+	// Text is a symbol's name or a string literal's (unescaped) value.
+	Text string
+	// num is an integer literal's value, or a float literal's IEEE 754
+	// bits; read it with Int or Float.
+	num uint64
+	// Line and Col are the 1-based source position of the node's first
+	// byte (0 for nodes built by the constructors below). Positions past
+	// math.MaxInt32 saturate.
+	Line, Col int32
+	Kind      Kind
 }
 
 // Sym constructs a symbol node (for tests and code generators).
-func Sym(s string) *Node { return &Node{Kind: KSymbol, Sym: s} }
+func Sym(s string) *Node { return &Node{Kind: KSymbol, Text: s} }
 
 // IntNode constructs an integer literal node.
-func IntNode(i int64) *Node { return &Node{Kind: KInt, Int: i} }
+func IntNode(i int64) *Node { return &Node{Kind: KInt, num: uint64(i)} }
 
 // FloatNode constructs a float literal node.
-func FloatNode(f float64) *Node { return &Node{Kind: KFloat, Float: f} }
+func FloatNode(f float64) *Node { return &Node{Kind: KFloat, num: math.Float64bits(f)} }
 
 // ListNode constructs a list node.
 func ListNode(items ...*Node) *Node { return &Node{Kind: KList, List: items} }
 
+// Int returns an integer literal's value (0 for any other kind).
+func (n *Node) Int() int64 {
+	if n.Kind != KInt {
+		return 0
+	}
+	return int64(n.num)
+}
+
+// Float returns a float literal's value (0 for any other kind).
+func (n *Node) Float() float64 {
+	if n.Kind != KFloat {
+		return 0
+	}
+	return math.Float64frombits(n.num)
+}
+
 // IsSym reports whether the node is the given symbol.
-func (n *Node) IsSym(s string) bool { return n != nil && n.Kind == KSymbol && n.Sym == s }
+func (n *Node) IsSym(s string) bool { return n != nil && n.Kind == KSymbol && n.Text == s }
 
 // Head returns the leading symbol of a list node, or "".
 func (n *Node) Head() string {
 	if n == nil || n.Kind != KList || len(n.List) == 0 || n.List[0].Kind != KSymbol {
 		return ""
 	}
-	return n.List[0].Sym
+	return n.List[0].Text
 }
 
 // Pos formats the node's source position.
@@ -73,12 +96,12 @@ func (n *Node) String() string { return string(n.AppendText(nil)) }
 func (n *Node) AppendText(dst []byte) []byte {
 	switch n.Kind {
 	case KSymbol:
-		dst = append(dst, n.Sym...)
+		dst = append(dst, n.Text...)
 	case KInt:
-		dst = strconv.AppendInt(dst, n.Int, 10)
+		dst = strconv.AppendInt(dst, n.Int(), 10)
 	case KFloat:
 		start := len(dst)
-		dst = strconv.AppendFloat(dst, n.Float, 'g', -1, 64)
+		dst = strconv.AppendFloat(dst, n.Float(), 'g', -1, 64)
 		if !bytes.ContainsAny(dst[start:], ".eE") {
 			dst = append(dst, ".0"...)
 		}
@@ -86,8 +109,8 @@ func (n *Node) AppendText(dst []byte) []byte {
 		// Escape only what the reader unescapes, so every string reads
 		// back as itself.
 		dst = append(dst, '"')
-		for i := 0; i < len(n.Str); i++ {
-			switch c := n.Str[i]; c {
+		for i := 0; i < len(n.Text); i++ {
+			switch c := n.Text[i]; c {
 			case '"', '\\':
 				dst = append(dst, '\\', c)
 			case '\n':
@@ -203,9 +226,12 @@ func (l *lexer) node(kind Kind, line, col int) *Node {
 	}
 	n := &l.slab[0]
 	l.slab = l.slab[1:]
-	n.Kind, n.Line, n.Col = kind, line, col
+	n.Kind, n.Line, n.Col = kind, pos32(line), pos32(col)
 	return n
 }
+
+// pos32 narrows a position to a Node's field, saturating.
+func pos32(p int) int32 { return int32(min(p, math.MaxInt32)) }
 
 // popKids moves the children pushed since mark into an exact-size slice
 // (nil when there are none) and pops them.
@@ -396,9 +422,9 @@ func (l *lexer) parseNode() (*Node, error) {
 		}
 		n := l.node(KString, line, col)
 		if esc != nil {
-			n.Str = string(esc)
+			n.Text = string(esc)
 		} else {
-			n.Str = l.src[start : l.pos-1]
+			n.Text = l.src[start : l.pos-1]
 		}
 		return n, nil
 	default:
@@ -416,20 +442,20 @@ func (l *lexer) parseNode() (*Node, error) {
 		}
 		if !looksNumeric(tok) {
 			n := l.node(KSymbol, line, col)
-			n.Sym = tok
+			n.Text = tok
 			return n, nil
 		}
 		if isInteger(tok) {
 			// Out of int64 range, an integer reads as a float.
 			if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
 				n := l.node(KInt, line, col)
-				n.Int = i
+				n.num = uint64(i)
 				return n, nil
 			}
 		}
 		if f, err := strconv.ParseFloat(tok, 64); err == nil {
 			n := l.node(KFloat, line, col)
-			n.Float = f
+			n.num = math.Float64bits(f)
 			return n, nil
 		}
 		return nil, l.errf("malformed number %q", tok)

@@ -32,16 +32,16 @@ func TestParseAtoms(t *testing.T) {
 
 func TestParseValues(t *testing.T) {
 	n, _ := ParseOne("-42")
-	if n.Int != -42 {
-		t.Errorf("int value %d", n.Int)
+	if n.Int() != -42 {
+		t.Errorf("int value %d", n.Int())
 	}
 	n, _ = ParseOne("2.5e2")
-	if n.Float != 250 {
-		t.Errorf("float value %v", n.Float)
+	if n.Float() != 250 {
+		t.Errorf("float value %v", n.Float())
 	}
 	n, _ = ParseOne(`"a\nb\"c"`)
-	if n.Str != "a\nb\"c" {
-		t.Errorf("string value %q", n.Str)
+	if n.Text != "a\nb\"c" {
+		t.Errorf("string value %q", n.Text)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestPositions(t *testing.T) {
 		name      string
 		n         *Node
 		kind      Kind
-		line, col int
+		line, col int32
 	}{
 		{"list after comment", list, KList, 2, 1},
 		{"symbol", list.List[0], KSymbol, 2, 2},
@@ -156,7 +156,7 @@ func TestHelpers(t *testing.T) {
 	if !n.List[0].IsSym("set") || n.Head() != "set" {
 		t.Error("IsSym/Head")
 	}
-	if (&Node{Kind: KInt, Int: 3}).Head() != "" {
+	if IntNode(3).Head() != "" {
 		t.Error("Head on non-list")
 	}
 }
