@@ -111,14 +111,14 @@ func TestSyncCellAllocation(t *testing.T) {
 	if addr != before || e.nextAddr != before+1 {
 		t.Errorf("sync cell at %d, next %d", addr, e.nextAddr)
 	}
-	name := e.cellAlias(addr)
+	name := aliasName(e, e.cellAlias(addr))
 	if !strings.HasPrefix(name, "_fk") {
 		t.Errorf("cell alias %q", name)
 	}
 	if !e.globals[name].empty {
 		t.Error("sync cell must start empty")
 	}
-	if e.cellAlias(9999) != "" {
+	if e.cellAlias(9999) != 0 {
 		t.Error("cellAlias found a ghost")
 	}
 }
@@ -215,12 +215,12 @@ func TestStringers(t *testing.T) {
 	tgt := fn.newBlock()
 	b.Instrs = append(b.Instrs,
 		&Instr{Op: isa.OpFMul, Dst: v, Srcs: []Src{vsrc(v), csrc(isa.Float(2))}, Type: TFloat},
-		&Instr{Op: isa.OpLoad, Dst: v, Alias: "a", Offset: 8, Sync: isa.SyncConsume, Type: TFloat},
+		&Instr{Op: isa.OpLoad, Dst: v, Alias: 1, Offset: 8, Sync: isa.SyncConsume, Type: TFloat},
 		&Instr{Op: isa.OpBf, Srcs: []Src{vsrc(v)}, Target: tgt},
-		&Instr{Op: isa.OpFork, ForkSeg: "w"},
+		&Instr{Op: isa.OpFork, ForkSeg: 2},
 	)
 	out := fn.String()
-	for _, want := range []string{"fn demo", "fmul", "#2.0", "ld.cons", "@8[a]", "->b1", "->w"} {
+	for _, want := range []string{"fn demo", "fmul", "#2.0", "ld.cons", "@8[g1]", "->b1", "->seg2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fn.String missing %q:\n%s", want, out)
 		}
@@ -243,4 +243,13 @@ func TestListExprForms(t *testing.T) {
     (aset out 2 (float (* j 2)))))`
 	prog, diags := compileOK(t, src, Options{})
 	_, _ = prog, diags
+}
+
+// aliasName returns the name of the global an Instr.Alias names, "" for
+// the unknown alias.
+func aliasName(e *env, alias int32) string {
+	if alias == 0 {
+		return ""
+	}
+	return e.globalOrder[alias-1]
 }

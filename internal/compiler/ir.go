@@ -2,13 +2,14 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"pcoup/internal/isa"
 )
 
 // Type is the static type of an expression or virtual register.
-type Type int
+type Type uint8
 
 const (
 	// TInt is the 64-bit integer type.
@@ -26,48 +27,68 @@ func (t Type) String() string {
 
 // VReg names a virtual register; 0 is "none". The compiler assumes an
 // unbounded register space (as in the paper) and reports peak usage.
-type VReg int
+type VReg int32
 
 // Src is one operand of an IR instruction: a virtual register or a
-// constant.
+// constant. It takes 16 bytes: a constant keeps its integer value or
+// its float's IEEE 754 bits in one word, and Const rebuilds the
+// isa.Value.
 type Src struct {
+	bits    uint64
 	VReg    VReg
-	Const   isa.Value
 	IsConst bool
+	isFloat bool
 }
 
-func vsrc(v VReg) Src      { return Src{VReg: v} }
-func csrc(v isa.Value) Src { return Src{Const: v, IsConst: true} }
-func cint(i int64) Src     { return csrc(isa.Int(i)) }
+func vsrc(v VReg) Src { return Src{VReg: v} }
+
+func csrc(v isa.Value) Src {
+	if v.IsFloat {
+		return Src{bits: math.Float64bits(v.F), IsConst: true, isFloat: true}
+	}
+	return Src{bits: uint64(v.I), IsConst: true}
+}
+
+func cint(i int64) Src { return Src{bits: uint64(i), IsConst: true} }
+
+// Const returns a constant source's value (the zero integer for a
+// register).
+func (s Src) Const() isa.Value {
+	if s.isFloat {
+		return isa.Float(math.Float64frombits(s.bits))
+	}
+	return isa.Int(int64(s.bits))
+}
 
 func (s Src) String() string {
 	if s.IsConst {
-		return "#" + s.Const.String()
+		return "#" + s.Const().String()
 	}
 	return fmt.Sprintf("v%d", s.VReg)
 }
 
 // Instr is one IR instruction in three-address form. Control instructions
 // (jmp/bt/bf) appear only as block terminators; fork and halt are ordinary
-// instructions executed by branch units.
+// instructions executed by branch units. It takes 72 bytes.
 type Instr struct {
+	Srcs []Src
 	Op   isa.Opcode
 	Dst  VReg // 0 when the instruction produces no value
-	Srcs []Src
+	Type Type // result type of Dst
 
 	// Memory instruction fields.
-	Offset int64          // constant part of the effective address
-	Sync   isa.SyncFlavor // presence-bit discipline
-	Alias  string         // global the address is within ("" = unknown)
 	// AddrConst reports that the address is entirely in Offset (no
 	// register components), enabling exact alias disambiguation.
 	AddrConst bool
+	Sync      isa.SyncFlavor // presence-bit discipline
+	Offset    int64          // constant part of the effective address
+	// Alias is the global the address is within, as its position in
+	// declaration order plus one (0: unknown).
+	Alias int32
 
 	// Control fields.
+	ForkSeg int32  // fork target: the segment's index
 	Target  *Block // branch target
-	ForkSeg string // fork target segment name
-
-	Type Type // result type of Dst
 }
 
 func (in *Instr) isTerminator() bool {
@@ -91,13 +112,13 @@ func (in *Instr) String() string {
 		b.WriteString(" " + s.String())
 	}
 	if in.Op == isa.OpLoad || in.Op == isa.OpStore {
-		fmt.Fprintf(&b, " @%d[%s]", in.Offset, in.Alias)
+		fmt.Fprintf(&b, " @%d[g%d]", in.Offset, in.Alias)
 	}
 	if in.Target != nil {
 		fmt.Fprintf(&b, " ->b%d", in.Target.ID)
 	}
-	if in.ForkSeg != "" {
-		fmt.Fprintf(&b, " ->%s", in.ForkSeg)
+	if in.Op == isa.OpFork {
+		fmt.Fprintf(&b, " ->seg%d", in.ForkSeg)
 	}
 	return b.String()
 }

@@ -145,7 +145,7 @@ func TestCellAliasOwner(t *testing.T) {
 				break
 			}
 		}
-		if got := e.cellAlias(addr); got != want {
+		if got := aliasName(e, e.cellAlias(addr)); got != want {
 			t.Errorf("cellAlias(%d) = %q, want %q", addr, got, want)
 		}
 	}
