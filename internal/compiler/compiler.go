@@ -168,7 +168,7 @@ func lowerForms(forms []*sexpr.Node, cfg *machine.Config, opts Options, lim *Lim
 // thousand operations within a block.
 func (e *env) build(deadline time.Time) (*isa.Program, *Diagnostics, error) {
 	if !e.opts.DisableOpt {
-		o := &optimizer{}
+		o := newOptimizer(e.fns)
 		for _, fn := range e.fns {
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				return nil, nil, &DeadlineError{Deadline: deadline}
