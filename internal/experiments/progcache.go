@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
 	"pcoup/internal/bench"
 	"pcoup/internal/compiler"
-	"pcoup/internal/faults"
 	"pcoup/internal/isa"
 	"pcoup/internal/machine"
 )
@@ -40,7 +40,7 @@ type progKey struct {
 	kind  bench.SourceKind
 	size  int // 0 = the benchmark's default size
 	opts  compiler.Options
-	cfg   string // compileFingerprint of the machine config
+	cfg   compileKey
 }
 
 type progEntry struct {
@@ -93,23 +93,44 @@ func ProgCacheStats() (lookups, fills int64) {
 	return progCache.lookups.Load(), progCache.fills.Load()
 }
 
-// compileFingerprint hashes only the configuration the compiler reads:
-// the cluster/unit topology (schedules, latencies, slot assignment),
-// MaxDests, and the memory hit latency (load scheduling distance).
-// Runtime-only knobs — seed, interconnect, arbitration, issue policy,
-// op caches, thread cap, fault injection, miss-rate modeling — are
-// zeroed so cells differing only in them share one compile.
-func compileFingerprint(cfg *machine.Config) (string, error) {
-	c := cfg.Canonical()
-	c.Seed = 0
-	c.Interconnect = 0
-	c.Arbitration = 0
-	c.LockStepIssue = false
-	c.OpCache = machine.OpCacheModel{}
-	c.MaxThreads = 0
-	c.Faults = faults.Model{}
-	c.Memory = machine.MemoryModel{HitLatency: cfg.Memory.HitLatency}
-	return c.Hash()
+// compileKey is the part of a machine configuration the compiler reads:
+// the cluster/unit topology (schedules, latencies, slot assignment,
+// register capacities), MaxDests, the memory hit latency (load
+// scheduling distance) and the canonical dynamic model. Runtime-only
+// knobs — name, seed, interconnect, arbitration, issue policy, op
+// caches, thread cap, fault injection, miss-rate modeling — are left
+// out, so cells differing only in them share one compile. Two configs
+// have equal keys exactly when their canonical forms with those knobs
+// cleared are equal.
+type compileKey struct {
+	// clusters lists, per cluster, its register capacity and unit count
+	// and then each unit's kind and latency, as varints.
+	clusters   string
+	maxDests   int
+	hitLatency int
+	dynamic    machine.DynamicModel
+}
+
+// compileFingerprint returns cfg's compileKey. A warm cell calls it once
+// per lookup, so it reads the fields directly: no canonical copy, no
+// encoding, no hash.
+func compileFingerprint(cfg *machine.Config) compileKey {
+	var buf [64]byte
+	b := binary.AppendUvarint(buf[:0], uint64(len(cfg.Clusters)))
+	for _, cl := range cfg.Clusters {
+		b = binary.AppendVarint(b, int64(cl.Registers))
+		b = binary.AppendUvarint(b, uint64(len(cl.Units)))
+		for _, u := range cl.Units {
+			b = binary.AppendVarint(b, int64(u.Kind))
+			b = binary.AppendVarint(b, int64(u.Latency))
+		}
+	}
+	return compileKey{
+		clusters:   string(b),
+		maxDests:   cfg.MaxDests,
+		hitLatency: cfg.Memory.HitLatency,
+		dynamic:    cfg.Dynamic.Canonical(),
+	}
 }
 
 // compileCached generates and compiles (bench instance, options,
@@ -121,11 +142,7 @@ func compileCached(benchName string, kind bench.SourceKind, size int, cfg *machi
 	if err := bench.CheckName(benchName); err != nil {
 		return nil, nil, nil, err
 	}
-	fp, err := compileFingerprint(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	key := progKey{bench: benchName, kind: kind, size: size, opts: opts, cfg: fp}
+	key := progKey{bench: benchName, kind: kind, size: size, opts: opts, cfg: compileFingerprint(cfg)}
 	e := progCache.entry(key)
 	e.once.Do(func() {
 		if size == 0 {

@@ -25,7 +25,7 @@ func (c *Config) Canonical() *Config {
 		out.OpCache.MissPenalty = 0
 	}
 	out.Faults = out.Faults.Canonical()
-	out.Dynamic = out.Dynamic.canonical()
+	out.Dynamic = out.Dynamic.Canonical()
 	return out
 }
 

@@ -149,10 +149,10 @@ func (d DynamicModel) validate(c *Config) error {
 	return nil
 }
 
-// canonicalDynamic normalizes the section for content addressing:
+// Canonical normalizes the section for content addressing:
 // disabled features zero their tunables, enabled features make the
 // documented defaults explicit.
-func (d DynamicModel) canonical() DynamicModel {
+func (d DynamicModel) Canonical() DynamicModel {
 	out := d
 	if out.Window > 0 {
 		out.SquashPenalty = out.EffSquashPenalty()
