@@ -242,7 +242,7 @@ type UnitRef struct {
 // Units enumerates all function units cluster-major. The global index of
 // a unit is its slot index in compiled instruction words.
 func (c *Config) Units() []UnitRef {
-	var refs []UnitRef
+	refs := make([]UnitRef, 0, c.NumUnits())
 	g := 0
 	for ci, cl := range c.Clusters {
 		for li, u := range cl.Units {
