@@ -289,15 +289,16 @@ func TestProgramCompileDeadline(t *testing.T) {
 }
 
 // TestProgramWorkerCompileDeadline: a program too large to park on its
-// queued job (one basic block of 30,000 read-modify-write statements,
-// about 90,000 IR ops) is compiled by the worker from source under the
-// job's deadline. The compile stops at that deadline, in lowering or in
-// the back half, and fails the job, instead of running to completion.
+// queued job (one basic block of 100,000 read-modify-write statements,
+// about 300,000 IR ops, which take about half a second to compile on a
+// 2-vCPU host) is compiled by the worker from source under the job's
+// deadline. The compile stops at that deadline, in lowering or in the
+// back half, and fails the job, instead of running to completion.
 func TestProgramWorkerCompileDeadline(t *testing.T) {
 	srv, ts := newTestServer(t, Options{Workers: 1})
 	const timeout = 200 * time.Millisecond
-	src := "(program u (global out (array int 1)) (def (main) (unroll (a 0 30000) (aset out 0 (+ (aref out 0) 1)))))"
-	if srv.parkIROps >= 90_000 {
+	src := "(program u (global out (array int 1)) (def (main) (unroll (a 0 100000) (aset out 0 (+ (aref out 0) 1)))))"
+	if srv.parkIROps >= 300_000 {
 		t.Fatalf("parkIROps %d would park the program", srv.parkIROps)
 	}
 	status, view := postProgram(t, ts, ProgramRequest{ProgramSpec: ProgramSpec{Source: src}, TimeoutMS: timeout.Milliseconds()})
